@@ -1,8 +1,9 @@
 // Ablation benches for the design choices DESIGN.md calls out (beyond the
 // paper's figures):
 //   (a) shift schedule: the paper's permutation-chunk simulation vs exact
-//       Exp(beta) shifts — both are valid; the simulation skips computing
-//       and sorting real shift values;
+//       Exp(beta) shifts (the default) — both are valid, but they give
+//       different clusterings, so this times schedule and clustering
+//       together;
 //   (b) duplicate-edge removal during contraction on vs off — the paper
 //       notes correctness holds either way; dedup pays a hash-table pass to
 //       shrink later levels;

@@ -52,7 +52,8 @@ struct cc_options {
   // needs beta < 1/2 (Theorem 2), and the paper's sweet spot is 0.05-0.2.
   double beta = 0.2;
   decomp_variant variant = decomp_variant::kArbHybrid;
-  ldd::shift_mode shifts = ldd::shift_mode::kPermutationChunks;
+  // Shift schedule of every decomposition level (see ldd::shift_mode).
+  ldd::shift_mode shifts = ldd::shift_mode::kExponentialShifts;
   // Remove duplicate inter-cluster edges when contracting (paper default;
   // correctness holds either way).
   bool dedup = true;

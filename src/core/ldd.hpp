@@ -31,11 +31,18 @@ namespace pcc::ldd {
 
 // How vertices acquire their start times (shift values).
 enum class shift_mode {
-  // Paper default: random permutation; round t makes centers out of the
-  // first ceil(e^{beta*t}) permutation entries not yet visited.
+  // The paper's simulation of the shifts (Section 4): a random permutation;
+  // round t makes centers out of the first ceil(e^{beta*t}) permutation
+  // entries not yet visited. Costs a 40-bit radix sort per level.
   kPermutationChunks,
-  // Ablation: exact Exp(beta) shifts; round t starts the unvisited
-  // vertices with floor(shift) == t.
+  // Default: exact Exp(beta) shifts as Miller-Peng-Xu define them; round t
+  // starts the unvisited vertices with floor(delta_max - delta_v) == t,
+  // bucketed with one counting pass. Clusterings differ from the
+  // permutation mode's: there, round 1 always offers a second center
+  // (ceil(e^beta) = 2), while here the runner-up shift trails the largest
+  // by Exp(beta) — 1/beta rounds on average — so on a low-diameter graph
+  // the first BFS often covers nearly everything alone, and when the gap
+  // is under a round two balls split the graph instead.
   kExponentialShifts,
 };
 
@@ -43,7 +50,7 @@ struct options {
   // Decomposition parameter: cluster radius O(log n / beta), expected
   // inter-cluster edge fraction beta (2*beta for the Arb variants).
   double beta = 0.2;
-  shift_mode shifts = shift_mode::kPermutationChunks;
+  shift_mode shifts = shift_mode::kExponentialShifts;
   uint64_t seed = 42;
   // decomp_arb_hybrid switches to the read-based (dense) traversal when the
   // frontier holds more than this fraction of the vertices (paper: 20%).

@@ -25,64 +25,32 @@ inline constexpr vertex_id mark_edge(vertex_id label) { return label | kEdgeMark
 inline constexpr vertex_id unmark_edge(vertex_id e) { return e & ~kEdgeMark; }
 inline constexpr bool is_marked(vertex_id e) { return (e & kEdgeMark) != 0; }
 
-// Produces, per BFS round, the batch of vertices whose shift value falls in
+// Produces, per BFS round, the batch of vertices whose start time falls in
 // [round, round+1) — the candidates to become new BFS centers (those still
 // unvisited actually start one).
+//
+// kExponentialShifts (the default) is the Miller-Peng-Xu process itself:
+// delta_v ~ Exp(beta), and the BFS of v starts at time delta_max - delta_v
+// (the largest shift starts first, so the number of active BFS's grows
+// exponentially). Vertices are bucketed by floor(start time) with one
+// counting pass and bucket t is served at round t.
 //
 // kPermutationChunks simulates the exponential shifts as the paper
 // describes: a random permutation is generated in parallel and round t
 // takes the prefix of size ceil(e^{beta*t}) (so chunk sizes grow
 // exponentially); round 0 always starts exactly one BFS.
-//
-// kExponentialShifts draws delta_v ~ Exp(beta) exactly, buckets vertices by
-// floor(delta_v) with one integer sort, and serves bucket t at round t.
 class shift_schedule {
  public:
-  // The order array (and, in permutation mode, the sort scratch) comes from
-  // `ws`; it must stay live for the schedule's lifetime, so the caller's
-  // rewind scope has to enclose the schedule.
+  // The order array and the bucket ends come from `ws`; they must stay
+  // live for the schedule's lifetime, so the caller's rewind scope has to
+  // enclose the schedule. All other scratch is rewound before returning.
   shift_schedule(size_t n, const options& opt, parallel::workspace& ws)
-      : n_(n) {
-    order_ = ws.take<vertex_id>(n);
+      : n_(n), beta_(opt.beta) {
     if (opt.shifts == shift_mode::kPermutationChunks) {
+      order_ = ws.take<vertex_id>(n);
       parallel::random_permutation_into(n, opt.seed, order_, ws);
-      beta_ = opt.beta;
     } else {
-      // Exact shifts: delta_v ~ Exp(beta); the BFS of v starts at time
-      // delta_max - delta_v (the largest shift starts first — this reversal
-      // is what makes the number of active BFS's grow exponentially, which
-      // the permutation-chunk mode simulates). Bucket vertices by
-      // floor(start time) with one integer sort.
-      const parallel::rng gen = parallel::rng(opt.seed).split(7);
-      std::vector<double> delta(n);
-      parallel::parallel_for(0, n, [&](size_t v) {
-        delta[v] = gen.exponential(v, opt.beta);
-      });
-      const double delta_max = parallel::reduce_max<double>(
-          n, [&](size_t v) { return delta[v]; }, 0.0);
-      std::vector<std::pair<uint32_t, vertex_id>> keyed(n);
-      parallel::parallel_for(0, n, [&](size_t v) {
-        const double start = std::max(0.0, delta_max - delta[v]);
-        keyed[v] = {static_cast<uint32_t>(std::min(start, 4.0e9)),
-                    static_cast<vertex_id>(v)};
-      });
-      uint32_t max_floor = parallel::reduce_max<uint32_t>(
-          n, [&](size_t i) { return keyed[i].first; }, 0);
-      parallel::integer_sort(
-          keyed, parallel::bits_needed(static_cast<uint64_t>(max_floor) + 1),
-          [](const auto& p) { return p.first; });
-      bucket_end_.assign(static_cast<size_t>(max_floor) + 2, 0);
-      parallel::parallel_for(0, n, [&](size_t i) {
-        order_[i] = keyed[i].second;
-      });
-      // bucket_end_[t] = first index with floor > t (sequential; #buckets
-      // is O(log n / beta)).
-      size_t i = 0;
-      for (size_t t = 0; t + 1 < bucket_end_.size(); ++t) {
-        while (i < n && keyed[i].first <= t) ++i;
-        bucket_end_[t] = i;
-      }
-      bucket_end_.back() = n;
+      bucket_exponential_shifts(opt, ws);
     }
   }
 
@@ -104,10 +72,61 @@ class shift_schedule {
 
   vertex_id vertex_at(size_t i) const { return order_[i]; }
 
-  // True when every vertex has been offered as a center candidate.
-  bool exhausted(size_t round) const { return batch(round).second >= n_; }
-
  private:
+  // (start bucket, vertex) record of the counting pass.
+  struct start_rec {
+    uint32_t bucket;
+    vertex_id v;
+  };
+
+  void bucket_exponential_shifts(const options& opt, parallel::workspace& ws) {
+    const size_t n = n_;
+    const parallel::rng gen = parallel::rng(opt.seed).split(7);
+    // delta_max is the shift of the smallest 53-bit draw, computed with
+    // the same arithmetic as every other vertex's exponential().
+    const uint64_t min_draw = parallel::reduce_ws<uint64_t>(
+        n, [&](size_t v) { return gen.draw53(v); }, (uint64_t{1} << 53) - 1,
+        [](uint64_t a, uint64_t b) { return a < b ? a : b; }, ws);
+    const double delta_max = parallel::rng::exponential_of(min_draw, opt.beta);
+    const auto bucket_of = [](double start) {
+      return static_cast<uint32_t>(std::min(std::max(0.0, start), 4.0e9));
+    };
+    // Every start time lies in [0, delta_max], so buckets fit in
+    // [0, max_bucket]; bucket_end_[t] = #vertices with bucket <= t, and the
+    // extra last entry (= n) serves every later round.
+    const uint32_t max_bucket = bucket_of(delta_max);
+    // Take order: a cold workspace chains a chunk of max(request, capacity)
+    // whenever the active one is full, so the tiny bucket table goes first
+    // and the two record arrays are one take. Each n-sized array then gets
+    // one chunk, and the records' chunk is reused by the BFS rounds.
+    bucket_end_ = ws.take<size_t>(static_cast<size_t>(max_bucket) + 2);
+    order_ = ws.take<vertex_id>(n);
+
+    parallel::workspace::scope s(ws);
+    std::span<start_rec> records = ws.take<start_rec>(2 * n);
+    std::span<start_rec> keyed = records.first(n);
+    std::span<start_rec> tmp = records.last(n);
+    parallel::parallel_for(0, n, [&](size_t v) {
+      keyed[v] = {bucket_of(delta_max - gen.exponential(v, opt.beta)),
+                  static_cast<vertex_id>(v)};
+    });
+    const std::span<const start_rec> sorted = parallel::radix_sort_ping_pong(
+        keyed, tmp,
+        parallel::bits_needed(static_cast<uint64_t>(max_bucket) + 1),
+        [](const start_rec& r) { return r.bucket; }, ws);
+    // Boundary i (between records i-1 and i) ends every bucket in
+    // [bucket[i-1], bucket[i]); treating bucket[-1] as 0 and bucket[n] as
+    // the table size, these ranges tile the table.
+    const size_t buckets = bucket_end_.size();
+    parallel::parallel_for(0, n + 1, [&](size_t i) {
+      const size_t lo = i == 0 ? 0 : sorted[i - 1].bucket;
+      const size_t hi = i == n ? buckets : sorted[i].bucket;
+      // lint: private-write(sorted buckets give boundaries disjoint ranges)
+      for (size_t t = lo; t < hi; ++t) bucket_end_[t] = i;
+      if (i < n) order_[i] = sorted[i].v;
+    });
+  }
+
   // Number of permutation entries offered by the START of `round`:
   // ceil(e^{beta * round}), clamped to n; round 0 offers exactly 1 center.
   size_t chunk_prefix(size_t round) const {
@@ -117,9 +136,9 @@ class shift_schedule {
   }
 
   size_t n_;
-  double beta_ = 0.0;
-  std::span<vertex_id> order_;      // workspace-backed, size n
-  std::vector<size_t> bucket_end_;  // non-empty iff exponential mode
+  double beta_;
+  std::span<vertex_id> order_;     // workspace-backed, size n
+  std::span<size_t> bucket_end_;   // workspace-backed; empty iff chunk mode
 };
 
 // Append the unvisited members of this round's batch as new BFS centers:

@@ -14,8 +14,8 @@
 //
 // This is the one-shot convenience wrapper; the workspace-backed engine
 // behind it is core/sf_engine.hpp (repeated queries, labels + forest in
-// one pass, registry integration). Options are plain cc_options, so
-// --beta/--seed/--shifts/--dedup-route mean the same thing they mean for
+// one pass, registry integration). Options are plain cc_options, so beta,
+// seed, shifts and dedup_route mean the same thing they mean for
 // connectivity; opt.variant is ignored (the SF decomposition is always the
 // claim-based one).
 #pragma once

@@ -74,6 +74,33 @@ void radix_pass(const T* in, T* out, size_t n, int shift, Key&& key,
       1);
 }
 
+}  // namespace detail
+
+// Stable LSD radix of `v` by the low `key_bits` bits of key(x), passes
+// alternating between `v` and `tmp` (same size); the histograms come from
+// `ws`. Returns whichever of the two holds the sorted result, so a caller
+// that only reads the result can skip copying it back.
+template <typename T, typename Key>
+std::span<T> radix_sort_ping_pong(std::span<T> v, std::span<T> tmp,
+                                  int key_bits, Key&& key, workspace& ws) {
+  const size_t n = v.size();
+  if (n == 0) return v;
+  workspace::scope s(ws);
+  const size_t nb = 1 + (n - 1) / detail::kSortBlock;
+  std::span<size_t> counts = ws.take<size_t>(nb * detail::kRadix);
+  std::span<size_t> offsets = ws.take<size_t>(nb * detail::kRadix);
+  std::span<T> a = v;
+  std::span<T> b = tmp;
+  for (int shift = 0; shift < key_bits; shift += detail::kRadixBits) {
+    detail::radix_pass(a.data(), b.data(), n, shift, key, counts.data(),
+                       offsets.data());
+    std::swap(a, b);
+  }
+  return a;
+}
+
+namespace detail {
+
 // LSD radix over a span with all scratch (the ping-pong buffer and the
 // per-block histograms) provided by a workspace. Stable, so it produces the
 // same ordering as the std::stable_sort small-input path of the vector
@@ -84,16 +111,7 @@ void integer_sort_ws(std::span<T> v, int key_bits, Key&& key, workspace& ws) {
   if (n <= 1) return;
   workspace::scope s(ws);
   std::span<T> tmp = ws.take<T>(n);
-  const size_t nb = 1 + (n - 1) / kSortBlock;
-  std::span<size_t> counts = ws.take<size_t>(nb * kRadix);
-  std::span<size_t> offsets = ws.take<size_t>(nb * kRadix);
-  T* a = v.data();
-  T* b = tmp.data();
-  for (int shift = 0; shift < key_bits; shift += kRadixBits) {
-    radix_pass(a, b, n, shift, key, counts.data(), offsets.data());
-    std::swap(a, b);
-  }
-  if (a != v.data()) {
+  if (radix_sort_ping_pong(v, tmp, key_bits, key, ws).data() != v.data()) {
     parallel_for(0, n, [&](size_t i) { v[i] = tmp[i]; });
   }
 }

@@ -44,16 +44,26 @@ class rng {
     return (*this)[i] % bound;
   }
 
+  // The 53-bit integer draw behind uniform01(i) and exponential(i).
+  uint64_t draw53(uint64_t i) const { return (*this)[i] >> 11; }
+
   // Uniform double in (0, 1] (never exactly 0, so log() below is safe).
-  double uniform01(uint64_t i) const {
-    return (static_cast<double>((*this)[i] >> 11) + 1.0) * 0x1.0p-53;
-  }
+  double uniform01(uint64_t i) const { return uniform01_of(draw53(i)); }
 
   // Exponential with rate lambda (mean 1/lambda) via inverse transform.
-  // Used by the exact-shift mode of the decomposition (ablation of the
-  // paper's permutation-chunk simulation).
+  // Used by the decomposition's exact-shift schedule.
   double exponential(uint64_t i, double lambda) const {
-    return -std::log(uniform01(i)) / lambda;
+    return exponential_of(draw53(i), lambda);
+  }
+
+  // The same maps applied to a given draw. exponential_of decreases as the
+  // draw grows, so the largest exponential(i) over a range is
+  // exponential_of(min draw53(i)) — found with an integer reduce, no log.
+  static double uniform01_of(uint64_t draw) {
+    return (static_cast<double>(draw) + 1.0) * 0x1.0p-53;
+  }
+  static double exponential_of(uint64_t draw, double lambda) {
+    return -std::log(uniform01_of(draw)) / lambda;
   }
 
   // Derive an independent stream.

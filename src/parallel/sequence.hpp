@@ -9,6 +9,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -58,7 +59,9 @@ T reduce(size_t n, F&& f, T identity, Combine&& combine,
     for (size_t i = 0; i < n; ++i) acc = combine(acc, f(i));
     return acc;
   }
-  std::vector<T> block(nb, identity);
+  // Not std::vector<T>: for T = bool it packs the per-block results into
+  // shared words, and the parallel writes below would race.
+  std::unique_ptr<T[]> block = std::make_unique<T[]>(nb);
   parallel_for(
       0, nb,
       [&](size_t b) {

@@ -101,6 +101,16 @@ using cc::cc_stats;
 using cc::connected_components;
 using cc::decomp_variant;
 
+// Both shift schedules: each carves its own scratch from the arenas, so
+// each needs its own allocation-free check.
+const std::vector<std::pair<std::string, ldd::shift_mode>>& all_shifts() {
+  static const std::vector<std::pair<std::string, ldd::shift_mode>> v = {
+      {"exp", ldd::shift_mode::kExponentialShifts},
+      {"chunk", ldd::shift_mode::kPermutationChunks},
+  };
+  return v;
+}
+
 const std::vector<std::pair<std::string, decomp_variant>>& all_variants() {
   static const std::vector<std::pair<std::string, decomp_variant>> v = {
       {"min", decomp_variant::kMin},
@@ -233,32 +243,37 @@ TEST(CcEngine, HotPathRunIsAllocationFree) {
   // monotone, so the engine must reach an allocation-free run within a few
   // attempts; an engine that allocated unconditionally on the hot path
   // (per-level vectors, per-round scratch) would never produce one.
+  const graph::graph g = graph::random_graph(20000, 5, 7);
   for (auto b : {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
     parallel::scoped_backend guard(b);
-    for (const auto& [vname, variant] : all_variants()) {
-      const graph::graph g = graph::random_graph(20000, 5, 7);
-      cc_options opt;
-      opt.algorithm = "decomp";
-      opt.variant = variant;
-      cc::cc_engine engine(opt);
-      engine.run(g);  // warm-up: arenas chain chunks as needed
-      engine.run(g);  // warm-up: reset() consolidates to high-water mark
+    for (const auto& [sname, shifts] : all_shifts()) {
+      for (const auto& [vname, variant] : all_variants()) {
+        cc_options opt;
+        opt.algorithm = "decomp";
+        opt.variant = variant;
+        opt.shifts = shifts;
+        cc::cc_engine engine(opt);
+        engine.run(g);  // warm-up: arenas chain chunks as needed
+        engine.run(g);  // warm-up: reset() consolidates to high-water mark
 
-      bool saw_clean_run = false;
-      std::span<const vertex_id> labels;
-      for (int attempt = 0; attempt < 10 && !saw_clean_run; ++attempt) {
-        g_alloc_count.store(0, std::memory_order_relaxed);
-        g_count_allocs.store(true, std::memory_order_relaxed);
-        labels = engine.run(g);
-        g_count_allocs.store(false, std::memory_order_relaxed);
-        saw_clean_run = g_alloc_count.load(std::memory_order_relaxed) == 0;
+        bool saw_clean_run = false;
+        std::span<const vertex_id> labels;
+        for (int attempt = 0; attempt < 10 && !saw_clean_run; ++attempt) {
+          g_alloc_count.store(0, std::memory_order_relaxed);
+          g_count_allocs.store(true, std::memory_order_relaxed);
+          labels = engine.run(g);
+          g_count_allocs.store(false, std::memory_order_relaxed);
+          saw_clean_run = g_alloc_count.load(std::memory_order_relaxed) == 0;
+        }
+
+        EXPECT_TRUE(saw_clean_run)
+            << "no allocation-free run in 10 attempts; variant " << vname
+            << " shifts " << sname << " backend "
+            << (b == parallel::backend::kOpenMP ? "omp" : "pool");
+        const std::vector<vertex_id> copy(labels.begin(), labels.end());
+        EXPECT_TRUE(baselines::is_valid_components_labeling(g, copy))
+            << vname << " " << sname;
       }
-
-      EXPECT_TRUE(saw_clean_run)
-          << "no allocation-free run in 10 attempts; variant " << vname
-          << " backend " << (b == parallel::backend::kOpenMP ? "omp" : "pool");
-      const std::vector<vertex_id> copy(labels.begin(), labels.end());
-      EXPECT_TRUE(baselines::is_valid_components_labeling(g, copy)) << vname;
     }
   }
 }
@@ -266,18 +281,26 @@ TEST(CcEngine, HotPathRunIsAllocationFree) {
 TEST(CcEngine, ReserveFrontLoadsAllocation) {
   // After reserve() sized for the graph and one warm-up run (contract's
   // exact transient sizes depend on the decomposition), the arenas are
-  // consolidated and the next run is allocation-free.
+  // consolidated and the next run is allocation-free. One worker makes the
+  // footprint deterministic, so the third run must be clean outright; the
+  // multi-worker case, whose footprint rides on races, is covered by
+  // HotPathRunIsAllocationFree's bounded retries.
+  parallel::scoped_workers one(1);
   const graph::graph g = graph::rmat_graph(8192, 40000, 11);
-  cc::cc_engine engine;
-  engine.reserve(g.num_vertices(), g.num_edges());
-  engine.run(g);
-  engine.run(g);
+  for (const auto& [sname, shifts] : all_shifts()) {
+    cc_options opt;
+    opt.shifts = shifts;
+    cc::cc_engine engine(opt);
+    engine.reserve(g.num_vertices(), g.num_edges());
+    engine.run(g);
+    engine.run(g);
 
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_count_allocs.store(true, std::memory_order_relaxed);
-  engine.run(g);
-  g_count_allocs.store(false, std::memory_order_relaxed);
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u);
+    g_alloc_count.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    engine.run(g);
+    g_count_allocs.store(false, std::memory_order_relaxed);
+    EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u) << sname;
+  }
 }
 
 TEST(CcEngine, OptionsAreHonored) {

@@ -30,15 +30,14 @@ struct contracted_case {
 };
 
 contracted_case make_case(graph::graph g, double beta, bool dedup,
-                          uint64_t seed = 3,
-                          cc::dedup_strategy strategy = cc::dedup_strategy::kAuto) {
+                          uint64_t seed = 3) {
   contracted_case c{std::make_unique<graph::graph>(std::move(g)), {}, {}, {}};
   c.wg = work_graph::from(*c.g_holder);
   ldd::options opt;
   opt.beta = beta;
   opt.seed = seed;
   c.dec = ldd::decomp_arb(c.wg, opt, nullptr);
-  c.con = contract(c.wg, c.dec, dedup, strategy);
+  c.con = contract(c.wg, c.dec, dedup);
   return c;
 }
 
@@ -164,22 +163,26 @@ TEST(Contract, SortAndHashDedupProduceIdenticalCsr) {
   };
   for (const auto& tc : cases) {
     for (const double beta : {0.1, 0.4}) {
-      const auto hash = make_case(tc.g, beta, true, 3,
-                                  cc::dedup_strategy::kHash);
-      const auto sort = make_case(tc.g, beta, true, 3,
-                                  cc::dedup_strategy::kSort);
-      ASSERT_EQ(hash.con.contracted.offsets(), sort.con.contracted.offsets())
+      // decomp_arb's clustering rides on benign races, so decompose once
+      // and contract that same clustering along every route.
+      work_graph wg = work_graph::from(tc.g);
+      ldd::options opt;
+      opt.beta = beta;
+      opt.seed = 3;
+      const ldd::result dec = ldd::decomp_arb(wg, opt, nullptr);
+      const auto hash = contract(wg, dec, true, cc::dedup_strategy::kHash);
+      const auto sort = contract(wg, dec, true, cc::dedup_strategy::kSort);
+      ASSERT_EQ(hash.contracted.offsets(), sort.contracted.offsets())
           << tc.name << " beta=" << beta;
-      ASSERT_EQ(hash.con.contracted.edges(), sort.con.contracted.edges())
+      ASSERT_EQ(hash.contracted.edges(), sort.contracted.edges())
           << tc.name << " beta=" << beta;
-      EXPECT_EQ(hash.con.new_id, sort.con.new_id) << tc.name;
-      EXPECT_EQ(hash.con.rep, sort.con.rep) << tc.name;
+      EXPECT_EQ(hash.new_id, sort.new_id) << tc.name;
+      EXPECT_EQ(hash.rep, sort.rep) << tc.name;
       // kAuto must resolve to one of the two fixed routes, hence also match.
-      const auto aut = make_case(tc.g, beta, true, 3,
-                                 cc::dedup_strategy::kAuto);
-      EXPECT_EQ(aut.con.contracted.offsets(), sort.con.contracted.offsets())
+      const auto aut = contract(wg, dec, true, cc::dedup_strategy::kAuto);
+      EXPECT_EQ(aut.contracted.offsets(), sort.contracted.offsets())
           << tc.name << " beta=" << beta;
-      EXPECT_EQ(aut.con.contracted.edges(), sort.con.contracted.edges())
+      EXPECT_EQ(aut.contracted.edges(), sort.contracted.edges())
           << tc.name << " beta=" << beta;
     }
   }
@@ -213,25 +216,37 @@ TEST(Contract, ChooseDedupRouteCostModel) {
 
 TEST(Contract, DedupRouteReportedInView) {
   // contract_into records the route it actually took; pinned strategies
-  // must be honored verbatim and "off" reported when dedup is disabled.
-  const graph::graph g = graph::random_graph(3000, 8, 17);
-  work_graph wg = work_graph::from(g);
-  ldd::options opt;
-  opt.beta = 0.2;
-  const auto dec = ldd::decomp_arb(wg, opt, nullptr);
+  // must be honored verbatim and "off" reported when dedup is disabled or
+  // nothing is left to dedup. A long path keeps inter-cluster edges under
+  // either shift schedule: every vertex starts within O(log n / beta)
+  // rounds, so no BFS reaches more than a few hundred of its vertices.
   parallel::workspace persist_ws, graph_ws, scratch_ws;
-  const auto run = [&](bool dedup, cc::dedup_strategy s) {
+  const auto route = [&](const work_graph& wg, const ldd::result& dec,
+                         bool dedup, cc::dedup_strategy s) {
     persist_ws.reset();
     graph_ws.reset();
     const auto cv = cc::contract_into(wg, dec.cluster, dedup, persist_ws,
                                       graph_ws, scratch_ws, s);
     return std::string(cv.dedup_route);
   };
-  EXPECT_EQ(run(true, cc::dedup_strategy::kHash), "hash");
-  EXPECT_EQ(run(true, cc::dedup_strategy::kSort), "sort");
-  EXPECT_EQ(run(false, cc::dedup_strategy::kAuto), "off");
-  const std::string autod = run(true, cc::dedup_strategy::kAuto);
+  ldd::options opt;
+  opt.beta = 0.2;
+
+  const graph::graph g = graph::line_graph(3000);
+  work_graph wg = work_graph::from(g);
+  const auto dec = ldd::decomp_arb(wg, opt, nullptr);
+  ASSERT_GT(dec.edges_kept, 0u);
+  EXPECT_EQ(route(wg, dec, true, cc::dedup_strategy::kHash), "hash");
+  EXPECT_EQ(route(wg, dec, true, cc::dedup_strategy::kSort), "sort");
+  EXPECT_EQ(route(wg, dec, false, cc::dedup_strategy::kAuto), "off");
+  const std::string autod = route(wg, dec, true, cc::dedup_strategy::kAuto);
   EXPECT_TRUE(autod == "hash" || autod == "sort") << autod;
+
+  const graph::graph edgeless = graph::empty_graph(64);
+  work_graph ewg = work_graph::from(edgeless);
+  const auto edec = ldd::decomp_arb(ewg, opt, nullptr);
+  ASSERT_EQ(edec.edges_kept, 0u);
+  EXPECT_EQ(route(ewg, edec, true, cc::dedup_strategy::kHash), "off");
 }
 
 TEST(Contract, WorksAfterEachDecompositionVariant) {

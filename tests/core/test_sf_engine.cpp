@@ -300,42 +300,56 @@ TEST(SfEngine, HotPathRunIsAllocationFree) {
   // forest pipeline is deterministic, so in practice the third run is
   // already clean — the retry loop only absorbs backend-side lazies like
   // thread-pool bootstrap).
+  // Both shift schedules carve their own scratch, so both are checked.
+  const graph::graph g = graph::random_graph(20000, 5, 7);
   for (auto b : {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
     parallel::scoped_backend guard(b);
-    const graph::graph g = graph::random_graph(20000, 5, 7);
-    sf_engine engine;
-    engine.run(g);  // warm-up: arenas chain chunks as needed
-    engine.run(g);  // warm-up: reset() consolidates to high-water mark
+    for (auto shifts : {ldd::shift_mode::kExponentialShifts,
+                        ldd::shift_mode::kPermutationChunks}) {
+      cc_options opt;
+      opt.shifts = shifts;
+      sf_engine engine(opt);
+      engine.run(g);  // warm-up: arenas chain chunks as needed
+      engine.run(g);  // warm-up: reset() consolidates to high-water mark
 
-    bool saw_clean_run = false;
-    sf_engine::result r;
-    for (int attempt = 0; attempt < 10 && !saw_clean_run; ++attempt) {
-      g_alloc_count.store(0, std::memory_order_relaxed);
-      g_count_allocs.store(true, std::memory_order_relaxed);
-      r = engine.run(g);
-      g_count_allocs.store(false, std::memory_order_relaxed);
-      saw_clean_run = g_alloc_count.load(std::memory_order_relaxed) == 0;
+      bool saw_clean_run = false;
+      sf_engine::result r;
+      for (int attempt = 0; attempt < 10 && !saw_clean_run; ++attempt) {
+        g_alloc_count.store(0, std::memory_order_relaxed);
+        g_count_allocs.store(true, std::memory_order_relaxed);
+        r = engine.run(g);
+        g_count_allocs.store(false, std::memory_order_relaxed);
+        saw_clean_run = g_alloc_count.load(std::memory_order_relaxed) == 0;
+      }
+
+      EXPECT_TRUE(saw_clean_run)
+          << "no allocation-free run in 10 attempts; backend "
+          << (b == parallel::backend::kOpenMP ? "omp" : "pool")
+          << (shifts == ldd::shift_mode::kExponentialShifts ? " exp"
+                                                            : " chunk");
+      expect_valid_forest(g, r.forest);
     }
-
-    EXPECT_TRUE(saw_clean_run)
-        << "no allocation-free run in 10 attempts; backend "
-        << (b == parallel::backend::kOpenMP ? "omp" : "pool");
-    expect_valid_forest(g, r.forest);
   }
 }
 
 TEST(SfEngine, ReserveFrontLoadsAllocation) {
   const graph::graph g = graph::rmat_graph(8192, 40000, 11);
-  sf_engine engine;
-  engine.reserve(g.num_vertices(), g.num_edges());
-  engine.run(g);
-  engine.run(g);
+  for (auto shifts : {ldd::shift_mode::kExponentialShifts,
+                      ldd::shift_mode::kPermutationChunks}) {
+    cc_options opt;
+    opt.shifts = shifts;
+    sf_engine engine(opt);
+    engine.reserve(g.num_vertices(), g.num_edges());
+    engine.run(g);
+    engine.run(g);
 
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_count_allocs.store(true, std::memory_order_relaxed);
-  engine.run(g);
-  g_count_allocs.store(false, std::memory_order_relaxed);
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u);
+    g_alloc_count.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    engine.run(g);
+    g_count_allocs.store(false, std::memory_order_relaxed);
+    EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u)
+        << (shifts == ldd::shift_mode::kExponentialShifts ? "exp" : "chunk");
+  }
 }
 
 // ---------------------------------------------------------------------------

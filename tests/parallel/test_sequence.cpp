@@ -132,6 +132,19 @@ TEST(Reduce, CustomMonoid) {
   EXPECT_EQ(prod, 3628800u);  // 10!
 }
 
+TEST(Reduce, BoolOverManyBlocks) {
+  // Per-block bool results must not share storage words (std::vector<bool>
+  // would pack them, which races across workers under TSan).
+  const size_t n = 1000 * kDefaultGrain + 1;
+  const auto all_below = [&](size_t bound) {
+    return reduce<bool>(
+        n, [&](size_t i) { return i < bound; }, true,
+        [](bool a, bool b) { return a && b; });
+  };
+  EXPECT_TRUE(all_below(n));
+  EXPECT_FALSE(all_below(n - 1));
+}
+
 TEST(Scan, LargeValuesDoNotOverflow32Bits) {
   // Totals exceeding 2^32 must survive (edge offsets are 64-bit).
   const size_t n = 1 << 16;
