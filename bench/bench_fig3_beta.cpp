@@ -44,9 +44,9 @@ int main() {
         cc::cc_options opt;
         opt.variant = variant;
         opt.beta = beta;
-        // Options fix at engine construction; trials 2..k reuse its arenas.
-        cc::cc_engine engine(opt);
-        const double t = median_time([&] { (void)engine.run(g); });
+        // Trials 2..k reuse the engine's arenas.
+        cc::cc_engine engine;
+        const double t = median_time([&] { (void)engine.run(g, opt); });
         std::printf(" %8.4f", t);
       }
       std::printf("\n");

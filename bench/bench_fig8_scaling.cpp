@@ -36,12 +36,12 @@ int main() {
   size_t m_last = 0;
   cc::cc_options opt;
   opt.variant = cc::decomp_variant::kArbHybrid;
-  cc::cc_engine engine(opt);  // one engine across sizes and trials
+  cc::cc_engine engine;  // one engine across sizes and trials
   std::vector<bench_record> records;
   for (size_t m : sizes) {
     const size_t n = std::max<size_t>(m / 5, 16);
     const graph::graph g = graph::random_graph(n, 5, 81 + m);
-    const time_stats ts = time_stats_of([&] { (void)engine.run(g); });
+    const time_stats ts = time_stats_of([&] { (void)engine.run(g, opt); });
     const double t = ts.median_s;
     std::printf("%14zu %14zu %12.4f %16.2f\n", g.num_undirected_edges(), n, t,
                 1e9 * t / static_cast<double>(g.num_undirected_edges()));
@@ -175,7 +175,7 @@ int main() {
       const parallel::scoped_backend bg(configs[c].backend);
       const parallel::scoped_workers wg(configs[c].threads);
       parallel::timer timer;
-      (void)engine.run(gt);
+      (void)engine.run(gt, opt);
       if (round >= 0) times[c].push_back(timer.elapsed());
     }
   }

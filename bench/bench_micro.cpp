@@ -179,10 +179,13 @@ void BM_DecompArbSingleCall(benchmark::State& state) {
 }
 BENCHMARK(BM_DecompArbSingleCall)->Arg(1 << 14)->Arg(1 << 17);
 
+// One-shot query, pinned to the engine's algorithm (not "auto", whose pick
+// can differ) so the pair with BM_CcEngineWarmRun isolates allocation.
 void BM_ConnectedComponentsEndToEnd(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const graph::graph g = graph::random_graph(n, 5, 5);
   cc::cc_options opt;
+  opt.algorithm = "decomp-arb-hybrid";
   for (auto _ : state) {
     benchmark::DoNotOptimize(cc::connected_components(g, opt));
   }
@@ -196,11 +199,12 @@ BENCHMARK(BM_ConnectedComponentsEndToEnd)->Arg(1 << 14)->Arg(1 << 17);
 void BM_CcEngineWarmRun(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const graph::graph g = graph::random_graph(n, 5, 5);
+  const cc::cc_options opt;
   cc::cc_engine engine;
-  engine.run(g);
-  engine.run(g);  // second run consolidates the arenas
+  engine.run(g, opt);
+  engine.run(g, opt);  // second run consolidates the arenas
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(g).data());
+    benchmark::DoNotOptimize(engine.run(g, opt).data());
   }
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations() * g.num_edges()));
@@ -247,17 +251,18 @@ void BM_SpanningForest(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanningForest)->Arg(1 << 14)->Arg(1 << 17);
 
-// Labels + forest through a warm sf_engine, on the SAME graph as
+// Labels + forest through a warm engine's run_forest, on the SAME graph as
 // BM_CcEngineWarmRun: the pair is the cost of carrying witnesses through
 // the pipeline (acceptance target: within 1.2x of labels-only).
 void BM_SfEngineWarmRun(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const graph::graph g = graph::random_graph(n, 5, 5);
-  cc::sf_engine engine;
-  engine.run(g);
-  engine.run(g);  // second run consolidates the arenas
+  const cc::cc_options opt;
+  cc::cc_engine engine;
+  engine.run_forest(g, opt);
+  engine.run_forest(g, opt);  // second run consolidates the arenas
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(g).labels.data());
+    benchmark::DoNotOptimize(engine.run_forest(g, opt).labels.data());
   }
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations() * g.num_edges()));

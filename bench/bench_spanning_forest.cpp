@@ -1,5 +1,6 @@
 // Extra (extension feature): spanning-forest generation head-to-head —
-// the witness-carrying decomposition pipeline (sf_engine) against the
+// the witness-carrying decomposition pipeline (cc_engine::run_forest)
+// against the
 // sequential union-find forest — plus the forest-vs-labels A/B: the same
 // decompose-contract run with and without witness pullback, warm engines
 // and one-shot, at two sizes. The acceptance target for the pipeline is
@@ -16,7 +17,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/sf_engine.hpp"
+#include "core/cc_engine.hpp"
 #include "core/spanning_forest.hpp"
 
 namespace {
@@ -64,15 +65,16 @@ int main() {
   suite.push_back({"3D-grid", graph::grid3d_graph(base, true, 93)});
   suite.push_back({"line", graph::line_graph(2 * base, false)});
 
-  cc::sf_engine engine;
+  const cc::cc_options opt;
+  cc::cc_engine engine;
   std::printf("\n%-12s %16s %16s %14s\n", "graph", "decomp-SF (s)",
               "serial-SF (s)", "forest edges");
   for (const auto& [gname, g] : suite) {
     const auto expected = serial_forest(g);
-    engine.run(g);  // warm-up: the suite times the steady-state query
+    engine.run_forest(g, opt);  // warm-up: the suite times the steady state
     std::span<const graph::edge> forest;
     const time_stats ours =
-        time_stats_of([&] { forest = engine.run(g).forest; });
+        time_stats_of([&] { forest = engine.run_forest(g, opt).forest; });
     if (!forest_valid(g, forest, expected.size())) {
       std::fprintf(stderr, "BUG: invalid forest on %s\n", gname.c_str());
       return 1;
@@ -94,20 +96,21 @@ int main() {
     const graph::graph g = graph::random_graph(scaled(n), 5, 5);
     const std::string gname = "n=" + std::to_string(g.num_vertices());
 
-    cc::sf_engine sf;
-    sf.run(g);
-    sf.run(g);  // second run consolidates the arenas
+    cc::cc_engine sf;
+    sf.run_forest(g, opt);
+    sf.run_forest(g, opt);  // second run consolidates the arenas
     const time_stats sf_warm =
-        time_stats_of([&] { (void)sf.run(g).labels.data(); });
+        time_stats_of([&] { (void)sf.run_forest(g, opt).labels.data(); });
 
     cc::cc_engine cc;
-    cc.run(g);
-    cc.run(g);
-    const time_stats cc_warm = time_stats_of([&] { (void)cc.run(g).data(); });
+    cc.run(g, opt);
+    cc.run(g, opt);
+    const time_stats cc_warm =
+        time_stats_of([&] { (void)cc.run(g, opt).data(); });
 
     const time_stats sf_cold = time_stats_of([&] {
-      cc::sf_engine fresh;
-      (void)fresh.run(g).forest.size();
+      cc::cc_engine fresh;
+      (void)fresh.run_forest(g, opt).forest.size();
     });
     const time_stats cc_cold =
         time_stats_of([&] { (void)cc::connected_components(g); });

@@ -3,8 +3,8 @@
 //
 //   $ ./forest_queries
 //
-// covers: sf_engine (workspace-backed labels + witness forest in a single
-// decompose-contract run), forest_index construction, and the query
+// covers: cc_engine::run_forest (workspace-backed labels + witness forest
+// in a single decompose-contract run), forest_index construction, and the query
 // surface — path() with original-edge answers, bridges(), per-component
 // stats(), k_largest().
 
@@ -23,8 +23,8 @@ int main() {
            {2, 6}, {6, 7}, {7, 8},                          // tail
            {9, 10}});                                       // pair
 
-  cc::sf_engine engine;
-  const cc::sf_engine::result r = engine.run(small);
+  cc::cc_engine engine;
+  const cc::cc_engine::forest_result r = engine.run_forest(small, {});
   const cc::forest_index idx(small.num_vertices(), r.forest, r.labels);
   std::printf("small graph: n=%zu, forest of %zu edges, %zu components\n",
               small.num_vertices(), r.forest.size(),
@@ -53,7 +53,7 @@ int main() {
   const graph::graph big = graph::random_graph(200000, 3, /*seed=*/7);
 
   parallel::timer t;
-  const cc::sf_engine::result br = engine.run(big);
+  const cc::cc_engine::forest_result br = engine.run_forest(big, {});
   const double run_s = t.elapsed();
   const cc::forest_index bidx(big.num_vertices(), br.forest, br.labels);
   const double total_s = t.elapsed();

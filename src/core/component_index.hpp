@@ -18,9 +18,9 @@ class component_index {
  public:
   // labels[v] must be a vertex id (the representative invariant of
   // pcc::cc::connected_components / the baselines in this library). The
-  // span overload indexes a labeling in place — cc_engine::run() hands out
-  // a span over engine-owned memory, and building the query index from it
-  // must not force a copy. The labels are only read during construction.
+  // span overload indexes a labeling in place — cc_engine::run() and
+  // run_forest() hand out spans over engine-owned memory, and building the
+  // query index from them must not force a copy. The labels are only read during construction.
   explicit component_index(std::span<const vertex_id> labels);
   explicit component_index(const std::vector<vertex_id>& labels)
       : component_index(std::span<const vertex_id>(labels)) {}

@@ -1,6 +1,7 @@
 // Algorithm 1 of the paper: CC(G) = relabel-up(DECOMP + CONTRACT + recurse).
-// The level loop itself lives in core/cc_engine.cpp; this translation unit
-// keeps the one-shot convenience API and the labeling helpers.
+// The level loop itself (labels, and labels + forest) lives in
+// core/cc_engine.cpp; this translation unit keeps the one-shot convenience
+// API and the labeling helpers.
 
 #include "core/connectivity.hpp"
 

@@ -1,51 +1,15 @@
-// Iterative witness-carrying engine: DECOMP + CONTRACT per level going up
-// (claim witnesses joining the forest at every BFS round), RELABELUP back
-// down the recorded level stack. Structurally a twin of cc_engine.cpp; the
-// differences are the deterministic two-phase claim resolution and the
-// witness arrays threaded alongside every level graph.
-
-#include "core/sf_engine.hpp"
-
-#include <cassert>
-
-#include "core/contract.hpp"
-#include "core/ldd.hpp"
-#include "core/ldd_internal.hpp"
-#include "parallel/atomics.hpp"
-#include "parallel/emit.hpp"
-#include "parallel/random.hpp"
-#include "parallel/scheduler.hpp"
-#include "parallel/sequence.hpp"
-#include "parallel/timer.hpp"
-
-namespace pcc::cc {
-
-namespace {
-
-using parallel::atomic_load;
-using parallel::atomic_store;
-using parallel::parallel_for;
-
-inline uint64_t pack_witness(vertex_id u, vertex_id v) {
-  return (static_cast<uint64_t>(u) << 32) | v;
-}
-inline graph::edge unpack_witness(uint64_t w) {
-  return {static_cast<vertex_id>(w >> 32), static_cast<vertex_id>(w)};
-}
-
-// A resolved claim from one BFS round: the claimed vertex (joins the next
-// frontier) and the witness of the claiming edge (joins the forest).
-struct claim_rec {
-  vertex_id w;
-  uint64_t witness;
-};
-
-// Deterministic direction-optimizing Decomp-Arb over a level graph with
-// witnesses (the sf twin of decomp_arb_hybrid_into). `witness` parallels
-// wg.edges; both are compacted in place (targets relabeled to cluster
-// ids) so the post-decomposition state satisfies the witness contract_into
-// overload's invariant. Claim witnesses are appended to `forest` at
-// forest_count, which is advanced.
+// Decomp-Arb-SF: the witness-carrying decomposition behind
+// cc_engine::run_forest. Direction-optimizing Decomp-Arb over a level graph
+// whose every edge slot carries a witness (the original-graph edge that
+// realizes it); the claim edges' witnesses are the spanning forest's edges
+// at this level.
+//
+// Unlike the connectivity decompositions (whose CAS claim races are benign
+// because ANY claimer yields correct components), a forest edge's identity
+// depends on WHICH claim wins, so claims are resolved deterministically and
+// the forest is a pure function of (graph, options), identical across
+// worker counts and scheduler backends. The round structure is the sf twin
+// of decomp_arb_hybrid.cpp's.
 //
 // Dense (pull) rounds are deterministic for free: each still-unvisited
 // vertex scans its own adjacency for the FIRST frontier neighbour in slot
@@ -74,21 +38,37 @@ struct claim_rec {
 // the serial traversal meets edges in flattened order, so the first
 // proposer IS the minimum rank and the outcome matches the two-phase
 // protocol exactly.
-// `identity_witness` (level 0 of the engine): incoming edge slots carry no
-// stored witness — the witness of slot (v, j) IS pack(v, raw_target) — so
-// the initial m-slot stamping sweep is skipped and `witness` is written
-// only for slots that survive compaction (exactly what contract reads).
-ldd::decomp_info decomp_arb_sf_into(ldd::work_graph& wg,
-                                    std::span<uint64_t> witness,
-                                    bool identity_witness,
-                                    const ldd::options& opt,
-                                    std::span<vertex_id> cluster,
-                                    std::span<uint64_t> forest,
-                                    size_t& forest_count,
-                                    parallel::workspace& ws,
-                                    parallel::phase_timer* pt) {
+
+#include "core/ldd.hpp"
+#include "core/ldd_internal.hpp"
+#include "parallel/atomics.hpp"
+#include "parallel/emit.hpp"
+
+namespace pcc::ldd::internal {
+
+namespace {
+
+using parallel::atomic_load;
+using parallel::atomic_store;
+using parallel::parallel_for;
+
+// A resolved claim from one BFS round: the claimed vertex (joins the next
+// frontier) and the witness of the claiming edge (joins the forest).
+struct claim_rec {
+  vertex_id w;
+  uint64_t witness;
+};
+
+}  // namespace
+
+decomp_info decomp_arb_sf_into(work_graph& wg, std::span<uint64_t> witness,
+                               bool identity_witness, const options& opt,
+                               std::span<vertex_id> cluster,
+                               std::span<uint64_t> forest,
+                               size_t& forest_count, parallel::workspace& ws,
+                               parallel::phase_timer* pt) {
   const size_t n = wg.n;
-  ldd::decomp_info info;
+  decomp_info info;
   if (n == 0) return info;
   parallel::timer t;
   std::span<vertex_id> C = cluster;
@@ -97,7 +77,7 @@ ldd::decomp_info decomp_arb_sf_into(ldd::work_graph& wg,
   });
   const bool serial = parallel::num_workers() <= 1;
 
-  ldd::internal::shift_schedule schedule(n, opt, ws);
+  shift_schedule schedule(n, opt, ws);
   std::span<vertex_id> frontier = ws.take<vertex_id>(n);
   std::span<vertex_id> next = ws.take<vertex_id>(n);
   // At most n claims happen across the whole decomposition (each vertex is
@@ -128,7 +108,7 @@ ldd::decomp_info decomp_arb_sf_into(ldd::work_graph& wg,
   size_t round = 0;
   while (num_visited < n) {
     t.start();
-    const size_t added = ldd::internal::add_new_centers(
+    const size_t added = add_new_centers(
         schedule, round, frontier, frontier_size, ws,
         [&](vertex_id v) { return C[v] == kNoVertex; },
         [&](vertex_id v) { C[v] = v; });
@@ -267,7 +247,7 @@ ldd::decomp_info decomp_arb_sf_into(ldd::work_graph& wg,
                     // Kept edges carry the mark bit: "already relabeled",
                     // so the filter pass below leaves them alone.
                     // lint: private-write(piece owns slots [jlo, jhi) of v)
-                    wg.edges[start + k] = ldd::internal::mark_edge(w_label);
+                    wg.edges[start + k] = mark_edge(w_label);
                     // lint: private-write(same piece-subrange invariant)
                     witness[start + k] = identity_witness
                                              ? pack_witness(v, w)
@@ -333,7 +313,7 @@ ldd::decomp_info decomp_arb_sf_into(ldd::work_graph& wg,
             for (uint32_t i = jlo; i < jhi; ++i) {
               // lint: private-write(piece owns slots [jlo, jhi) of v)
               wg.edges[start + i] =
-                  ldd::internal::unmark_edge(wg.edges[start + i]);
+                  unmark_edge(wg.edges[start + i]);
             }
             // "Kept" the whole piece: fix_split_pieces then never moves
             // slots of a resolved vertex and republishes D[v] unchanged.
@@ -385,213 +365,4 @@ ldd::decomp_info decomp_arb_sf_into(ldd::work_graph& wg,
   return info;
 }
 
-}  // namespace
-
-void sf_engine::reserve(size_t n, size_t m) {
-  persist_.reset();
-  scratch_.reset();
-  graph_[0].reset();
-  graph_[1].reset();
-  frames_.clear();
-  // cc_engine's heuristics plus the witness arrays: one uint64 per edge
-  // slot in each graph arena, one packed forest slot per vertex in
-  // persist_, and the witness_pair gather array in scratch_.
-  persist_.reserve(sizeof(vertex_id) * 4 * n + sizeof(uint64_t) * n);
-  graph_[0].reserve(sizeof(vertex_id) * (m + n) + sizeof(uint64_t) * m);
-  graph_[1].reserve(sizeof(vertex_id) * (m + n) + sizeof(uint64_t) * m);
-  scratch_.reserve(sizeof(vertex_id) * 16 * n + 24 * m);
-  frames_.reserve(opt_.max_levels);
-  forest_storage_.reserve(n);
-}
-
-sf_engine::result sf_engine::run(const graph::graph& g, cc_stats* stats) {
-  return run(g, opt_, stats);
-}
-
-sf_engine::result sf_engine::run(const graph::graph& g, const cc_options& opt,
-                                 cc_stats* stats) {
-  const size_t n0 = g.num_vertices();
-  const size_t m0 = g.num_edges();
-
-  persist_.reset();
-  scratch_.reset();
-  graph_[0].reset();
-  graph_[1].reset();
-  frames_.clear();
-  frames_.reserve(opt.max_levels);
-  forest_storage_.clear();
-
-  if (n0 == 0) return {};
-  std::span<vertex_id> labels = persist_.take<vertex_id>(n0);
-  // The forest holds n0 - #components < n0 packed witnesses; claims append
-  // here round by round, the fallback appends serially.
-  std::span<uint64_t> forest = persist_.take<uint64_t>(n0);
-  size_t forest_count = 0;
-  if (m0 == 0) {
-    parallel_for(0, n0,
-                 [&](size_t v) { labels[v] = static_cast<vertex_id>(v); });
-    return {labels, {}};
-  }
-
-  // Level-0 working graph: offsets borrowed from g; edges copied (the
-  // decomposition compacts them in place). The witness array is NOT
-  // pre-stamped — level 0 runs the decomposition in identity-witness mode
-  // (witness of slot (v, j) = the edge itself), which writes witnesses
-  // only into slots that survive compaction.
-  std::span<vertex_id> edges0 = graph_[0].take<vertex_id>(m0);
-  std::span<vertex_id> degrees0 = graph_[0].take<vertex_id>(n0);
-  std::span<uint64_t> witness0 = graph_[0].take<uint64_t>(m0);
-  const std::vector<vertex_id>& ge = g.edges();
-  parallel_for(0, m0, [&](size_t i) { edges0[i] = ge[i]; });
-  const std::vector<edge_id>& go = g.offsets();
-  parallel_for(0, n0, [&](size_t v) {
-    degrees0[v] = g.degree(static_cast<vertex_id>(v));
-  });
-  ldd::work_graph cur = ldd::work_graph::over(
-      n0, std::span<const edge_id>(go), edges0, degrees0);
-  std::span<uint64_t> cur_witness = witness0;
-  size_t cur_m = m0;
-  int ping = 0;  // graph_ arena holding cur's storage
-
-  // Go up: decompose and contract until the edges run out (or the safety
-  // net engages), recording the lift state of each level.
-  std::span<const vertex_id> base;  // labels of the topmost solved level
-  size_t level = 0;
-  while (true) {
-    if (level >= opt.max_levels) {
-      // Safety net: finish sequentially with union-find, keeping the
-      // witness of every uniting edge.
-      if (stats != nullptr) stats->used_fallback = true;
-      std::span<vertex_id> fb = scratch_.take<vertex_id>(cur.n);
-      std::span<vertex_id> parent = scratch_.take<vertex_id>(cur.n);
-      for (size_t v = 0; v < cur.n; ++v) {
-        parent[v] = static_cast<vertex_id>(v);
-      }
-      const auto find = [&](vertex_id x) {
-        while (parent[x] != x) {
-          parent[x] = parent[parent[x]];
-          x = parent[x];
-        }
-        return x;
-      };
-      for (size_t u = 0; u < cur.n; ++u) {
-        const edge_id start = cur.offsets[u];
-        for (vertex_id i = 0; i < cur.degrees[u]; ++i) {
-          const vertex_id ru = find(static_cast<vertex_id>(u));
-          const vertex_id rw = find(cur.edges[start + i]);
-          if (ru != rw) {
-            parent[ru < rw ? rw : ru] = ru < rw ? ru : rw;
-            // Level 0 runs identity-witness: slots carry no stored
-            // witness, the edge is its own.
-            forest[forest_count++] =
-                level == 0 ? pack_witness(static_cast<vertex_id>(u),
-                                          cur.edges[start + i])
-                           : cur_witness[start + i];
-          }
-        }
-      }
-      for (size_t v = 0; v < cur.n; ++v) {
-        fb[v] = find(static_cast<vertex_id>(v));
-      }
-      base = fb;
-      break;
-    }
-    if (level > 0) {
-      graph_[1 - ping].reset();
-    }
-
-    // L = DECOMP(G, beta) — claim witnesses flow into the forest here.
-    std::span<vertex_id> cluster = persist_.take<vertex_id>(cur.n);
-    ldd::decomp_info dec;
-    {
-      parallel::workspace::scope s(scratch_);
-      ldd::options dopt;
-      dopt.beta = opt.beta;
-      dopt.shifts = opt.shifts;
-      dopt.dense_threshold = opt.dense_threshold;
-      // Same per-level seed schedule as cc_engine, so the two engines see
-      // the same decomposition randomness for the same cc_options.
-      dopt.seed = parallel::hash64(opt.seed + 0x9e37 * (level + 1));
-      dec = decomp_arb_sf_into(cur, cur_witness, /*identity_witness=*/level == 0,
-                               dopt, cluster, forest, forest_count, scratch_,
-                               stats != nullptr ? &stats->phases : nullptr);
-    }
-
-    // G' = CONTRACT(G, L), keeping one witness per surviving pair.
-    parallel::timer contract_timer;
-    const contraction_view cv = contract_into(
-        cur, std::span<const uint64_t>(cur_witness), cluster, opt.dedup,
-        persist_, graph_[1 - ping], scratch_, opt.dedup_route);
-    if (stats != nullptr) {
-      stats->phases.add("contractGraph", contract_timer.elapsed());
-      level_stats ls;
-      ls.n = cur.n;
-      ls.m = cur_m;
-      ls.edges_kept = dec.edges_kept;
-      ls.edges_after_dedup = cv.edges.size();
-      ls.num_clusters = dec.num_clusters;
-      ls.num_singletons = dec.num_clusters >= cv.num_vertices
-                              ? dec.num_clusters - cv.num_vertices
-                              : 0;
-      ls.bfs_rounds = dec.num_rounds;
-      ls.dense_rounds = dec.num_dense_rounds;
-      ls.dedup_route = cv.dedup_route;
-      stats->levels.push_back(ls);
-    }
-
-    if (cv.edges.empty()) {
-      base = cluster;
-      break;
-    }
-
-    frames_.push_back({cluster, cv.new_id, cv.rep, cur.n});
-    ping = 1 - ping;
-    std::span<vertex_id> degrees =
-        graph_[ping].take<vertex_id>(cv.num_vertices);
-    parallel_for(0, cv.num_vertices, [&](size_t v) {
-      degrees[v] =
-          static_cast<vertex_id>(cv.offsets[v + 1] - cv.offsets[v]);
-    });
-    cur = ldd::work_graph::over(cv.num_vertices, cv.offsets, cv.edges,
-                                degrees);
-    cur_witness = cv.edge_witness;
-    cur_m = cv.edges.size();
-    ++level;
-  }
-
-  // Come back down (RELABELUP) — identical to cc_engine.
-  parallel::timer relabel_timer;
-  {
-    parallel::workspace::scope s(scratch_);
-    for (size_t f = frames_.size(); f-- > 0;) {
-      const level_frame& fr = frames_[f];
-      std::span<vertex_id> lifted =
-          f == 0 ? labels : scratch_.take<vertex_id>(fr.n);
-      parallel_for(0, fr.n, [&](size_t v) {
-        const vertex_id c = fr.cluster[v];
-        const vertex_id x = fr.new_id[c];
-        lifted[v] = (x == kNoVertex) ? c : fr.rep[base[x]];
-      });
-      base = lifted;
-    }
-    if (frames_.empty()) {
-      parallel_for(0, n0, [&](size_t v) { labels[v] = base[v]; });
-    }
-  }
-  if (stats != nullptr) {
-    stats->phases.add("contractGraph", relabel_timer.elapsed());
-  }
-
-  // Publish the forest as unpacked (u, v) pairs. Determinism makes
-  // forest_count identical run to run, so after warm-up the resize stays
-  // within capacity and allocates nothing.
-  assert(forest_count < n0);
-  forest_storage_.resize(forest_count);
-  parallel_for(0, forest_count, [&](size_t i) {
-    // lint: private-write(iteration i owns slot i)
-    forest_storage_[i] = unpack_witness(forest[i]);
-  });
-  return {labels, {forest_storage_.data(), forest_storage_.size()}};
-}
-
-}  // namespace pcc::cc
+}  // namespace pcc::ldd::internal

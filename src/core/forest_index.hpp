@@ -1,6 +1,6 @@
 // forest_index: tree-path / bridge / shape queries on top of a spanning
-// forest (sf_engine's second output), the way component_index serves
-// label queries on top of a labeling.
+// forest (cc_engine::run_forest's second output), the way component_index
+// serves label queries on top of a labeling.
 //
 // Construction roots every tree of the forest at its minimum vertex id
 // with one multi-source parallel BFS (race-free: in a forest, an
@@ -37,7 +37,7 @@ class forest_index {
 
   // `forest` must be a spanning forest of the n-vertex graph whose
   // components `labels` describes (both exactly as returned by
-  // sf_engine::run). The spans are only read during construction.
+  // cc_engine::run_forest). The spans are only read during construction.
   forest_index(size_t n, std::span<const graph::edge> forest,
                std::span<const vertex_id> labels);
 

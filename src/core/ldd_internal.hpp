@@ -1,5 +1,6 @@
-// Shared internals of the decomposition variants: the shift-value schedule
-// and the edge-marking helpers. Not part of the public API.
+// Shared internals of the decomposition variants: the shift-value schedule,
+// the edge-marking helpers, and the witness-carrying decomposition the
+// engine's forest mode runs. Not part of the public API.
 #pragma once
 
 #include <algorithm>
@@ -179,6 +180,31 @@ size_t add_new_centers(const shift_schedule& sched, size_t round,
   });
   return added;
 }
+
+// A witness is an original-graph edge (u, v), packed as (u << 32) | v.
+inline uint64_t pack_witness(vertex_id u, vertex_id v) {
+  return (static_cast<uint64_t>(u) << 32) | v;
+}
+inline graph::edge unpack_witness(uint64_t w) {
+  return {static_cast<vertex_id>(w >> 32), static_cast<vertex_id>(w)};
+}
+
+// Deterministic direction-optimizing Decomp-Arb over a level graph with
+// witnesses (decomp_arb_sf.cpp). `witness` parallels wg.edges; both are
+// compacted in place (targets relabeled to cluster ids), so the
+// post-decomposition state satisfies the witness contract_into overload's
+// invariant. Claim witnesses are appended to `forest` at forest_count,
+// which is advanced.
+// `identity_witness` (level 0 of the engine): incoming edge slots carry no
+// stored witness — the witness of slot (v, j) IS pack(v, raw_target) — so
+// the initial m-slot stamping sweep is skipped and `witness` is written
+// only for slots that survive compaction (exactly what contract reads).
+decomp_info decomp_arb_sf_into(work_graph& wg, std::span<uint64_t> witness,
+                               bool identity_witness, const options& opt,
+                               std::span<vertex_id> cluster,
+                               std::span<uint64_t> forest,
+                               size_t& forest_count, parallel::workspace& ws,
+                               parallel::phase_timer* pt);
 
 // Assemble the vector-returning `result` the public wrappers expose from a
 // span-based core's outputs.

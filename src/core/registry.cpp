@@ -27,16 +27,14 @@ void copy_labels(std::span<const vertex_id> src, std::span<vertex_id> dst) {
   });
 }
 
-// --- decomp-*: the paper's pipeline through the shared engine ----------
-// The variant is pinned by the registry entry; every other knob (beta,
-// shifts, dedup, seed, ...) travels with the caller's options. The options
-// copy below builds a fresh cc_options rather than copying opt wholesale
-// so no std::string copy can touch the heap on the repeated-query path.
-template <decomp_variant V>
-void run_decomp(const graph::graph& g, const cc_options& opt,
-                algo_workspace& ws, std::span<vertex_id> out, cc_stats* stats) {
+// --- the shared engine: decomp-* and spanning-forest --------------------
+// Every pipeline knob (beta, shifts, dedup, seed, ...) travels with the
+// caller's options. The copy builds a fresh cc_options rather than copying
+// opt wholesale so no std::string copy can touch the heap on the
+// repeated-query path.
+cc_options engine_options(const cc_options& opt) {
   cc_options o;
-  o.variant = V;
+  o.variant = opt.variant;
   o.beta = opt.beta;
   o.shifts = opt.shifts;
   o.dedup = opt.dedup;
@@ -45,24 +43,26 @@ void run_decomp(const graph::graph& g, const cc_options& opt,
   o.dense_threshold = opt.dense_threshold;
   o.parallel_edge_threshold = opt.parallel_edge_threshold;
   o.max_levels = opt.max_levels;
+  return o;
+}
+
+// decomp-*: the variant is pinned by the registry entry.
+template <decomp_variant V>
+void run_decomp(const graph::graph& g, const cc_options& opt,
+                algo_workspace& ws, std::span<vertex_id> out, cc_stats* stats) {
+  cc_options o = engine_options(opt);
+  o.variant = V;
   copy_labels(ws.engine.run(g, o, stats), out);
 }
 
-// --- spanning-forest: the witness-carrying pipeline ---------------------
-// Labels AND a forest in one pass; the forest lands in ws.last_forest for
-// consumers that asked for it (pcc_components --forest, pcc_query) and is
-// free to ignore otherwise. Same fresh-options discipline as run_decomp.
+// spanning-forest: labels AND a forest in one pass; the forest lands in
+// ws.last_forest for consumers that asked for it (pcc_components --forest,
+// pcc_query) and is free to ignore otherwise.
 void run_spanning_forest(const graph::graph& g, const cc_options& opt,
                          algo_workspace& ws, std::span<vertex_id> out,
                          cc_stats* stats) {
-  cc_options o;
-  o.beta = opt.beta;
-  o.shifts = opt.shifts;
-  o.dedup = opt.dedup;
-  o.dedup_route = opt.dedup_route;
-  o.seed = opt.seed;
-  o.max_levels = opt.max_levels;
-  const sf_engine::result r = ws.sf.run(g, o, stats);
+  const cc_engine::forest_result r =
+      ws.engine.run_forest(g, engine_options(opt), stats);
   copy_labels(r.labels, out);
   ws.last_forest = r.forest;
 }

@@ -26,25 +26,23 @@
 #include "baselines/bfs.hpp"
 #include "core/cc_engine.hpp"
 #include "core/connectivity.hpp"
-#include "core/sf_engine.hpp"
 #include "graph/graph.hpp"
 #include "parallel/arena.hpp"
 
 namespace pcc::cc {
 
 // Reusable execution state shared by every registered algorithm: one
-// engine for the decomp-* family, one for the spanning-forest pipeline,
-// BFS scratch for the hybrid sweeps, and a workspace arena for everything
+// engine for the decomp-* family and the spanning-forest pipeline (labels
+// and forest queries share its arenas), BFS scratch for the hybrid sweeps, and a workspace arena for everything
 // else (labeling edge buffers, union-find locks, the selector's probe).
 struct algo_workspace {
   cc_engine engine;
-  sf_engine sf;
   baselines::bfs_scratch bfs;
   parallel::workspace scratch;
 
   // Forest produced by the most recent run_algorithm() call, when the
   // algorithm has produces_forest set (empty otherwise — cleared at the
-  // start of every run). Points into sf's storage, or into forest_remap
+  // start of every run). Points into the engine's storage, or into forest_remap
   // when the reorder wrapper mapped endpoints back to original ids.
   std::span<const graph::edge> last_forest;
   std::vector<graph::edge> forest_remap;

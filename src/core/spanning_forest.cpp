@@ -1,16 +1,16 @@
-// One-shot wrapper over the workspace-backed spanning-forest engine (see
-// core/sf_engine.cpp for the pipeline itself).
+// One-shot wrapper over the engine's forest mode (see core/cc_engine.cpp
+// for the level loop and core/decomp_arb_sf.cpp for the decomposition).
 
 #include "core/spanning_forest.hpp"
 
-#include "core/sf_engine.hpp"
+#include "core/cc_engine.hpp"
 
 namespace pcc::cc {
 
 std::vector<graph::edge> spanning_forest(const graph::graph& g,
                                          const cc_options& opt) {
-  sf_engine engine(opt);
-  const sf_engine::result r = engine.run(g);
+  cc_engine engine;
+  const cc_engine::forest_result r = engine.run_forest(g, opt);
   return std::vector<graph::edge>(r.forest.begin(), r.forest.end());
 }
 

@@ -12,12 +12,13 @@
 // per level it adds n_l - (#clusters_l) + F(G_l+1) edges, telescoping to
 // n - #components.
 //
-// This is the one-shot convenience wrapper; the workspace-backed engine
-// behind it is core/sf_engine.hpp (repeated queries, labels + forest in
-// one pass, registry integration). Options are plain cc_options, so beta,
-// seed, shifts and dedup_route mean the same thing they mean for
-// connectivity; opt.variant is ignored (the SF decomposition is always the
-// claim-based one).
+// This is the one-shot convenience wrapper; for repeated queries use
+// cc_engine::run_forest (core/cc_engine.hpp: labels + forest in one pass,
+// on the same reusable arenas as the labels-only run) or the registry's
+// "spanning-forest" entry. Options are plain cc_options, so beta, seed,
+// shifts, dense_threshold and dedup_route mean the same thing they mean
+// for connectivity; opt.variant is ignored (the SF decomposition is always
+// the claim-based one).
 #pragma once
 
 #include <vector>

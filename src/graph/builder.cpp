@@ -1,6 +1,7 @@
 #include "graph/builder.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "parallel/atomics.hpp"
 #include "parallel/integer_sort.hpp"
@@ -43,21 +44,31 @@ graph csr_from_sorted(size_t n, const std::vector<uint64_t>& sorted) {
   return graph(std::move(offsets), std::move(edges));
 }
 
+void check_vertex_count(size_t n) {
+  if (n > kMaxVertices) {
+    throw std::invalid_argument("graph has more than kMaxVertices vertices");
+  }
+}
+
 }  // namespace
 
 graph from_edges(size_t n, edge_list edges, const build_options& opt) {
-  assert(n <= kMaxVertices);
+  check_vertex_count(n);
   const size_t m_in = edges.size();
 
   std::vector<uint64_t> packed;
   packed.resize(opt.symmetrize ? 2 * m_in : m_in);
+  uint8_t out_of_range = 0;
   parallel_for(0, m_in, [&](size_t i) {
     const auto [u, v] = edges[i];
-    assert(u < n && v < n);
+    if (u >= n || v >= n) parallel::write_once(&out_of_range, uint8_t{1});
     packed[i] = pack_edge(u, v);
     // lint: private-write(m_in + i is injective in i)
     if (opt.symmetrize) packed[m_in + i] = pack_edge(v, u);
   });
+  if (out_of_range != 0) {
+    throw std::invalid_argument("edge endpoint out of range [0, n)");
+  }
   edges.clear();
   edges.shrink_to_fit();
   return from_packed_edges(n, std::move(packed), opt);
@@ -65,7 +76,7 @@ graph from_edges(size_t n, edge_list edges, const build_options& opt) {
 
 graph from_packed_edges(size_t n, std::vector<uint64_t> packed,
                         const build_options& opt) {
-  assert(n <= kMaxVertices);
+  check_vertex_count(n);
   if (opt.remove_self_loops) {
     packed = parallel::filter(
         packed, [](uint64_t p) { return edge_src(p) != edge_tgt(p); });

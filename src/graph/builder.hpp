@@ -20,15 +20,17 @@ struct build_options {
 
 // Build a CSR graph over vertices [0, n) from a directed edge list.
 // Runs in parallel: radix sort by (source, target), adjacent dedup, and a
-// scan for the offsets. Edges referencing vertices >= n are invalid
-// (asserted in debug builds).
+// scan for the offsets. Throws std::invalid_argument if n exceeds
+// kMaxVertices (before allocating anything) or an edge references a vertex
+// >= n.
 graph from_edges(size_t n, edge_list edges, const build_options& opt = {});
 
 // Same pipeline starting from already-packed directed edges
 // ((u << 32) | v), skipping from_edges' packing pass. The caller is
 // responsible for having materialized both directions if it wants a
 // symmetric graph (opt.symmetrize is ignored); the parallel SNAP loader
-// uses this to avoid one full copy of the edge array.
+// uses this to avoid one full copy of the edge array. Throws
+// std::invalid_argument if n exceeds kMaxVertices.
 graph from_packed_edges(size_t n, std::vector<uint64_t> packed,
                         const build_options& opt = {});
 

@@ -10,6 +10,7 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -31,7 +32,9 @@ class graph {
       : offsets_(std::move(offsets)), edges_(std::move(edges)) {
     assert(!offsets_.empty());
     assert(offsets_.back() == edges_.size());
-    assert(num_vertices() <= kMaxVertices);
+    if (num_vertices() > kMaxVertices) {
+      throw std::invalid_argument("graph has more than kMaxVertices vertices");
+    }
   }
 
   // Number of vertices.

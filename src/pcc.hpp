@@ -21,7 +21,6 @@
 #include "core/registry.hpp"
 #include "core/select.hpp"
 #include "core/ldd.hpp"
-#include "core/sf_engine.hpp"
 #include "core/spanning_forest.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"

@@ -9,7 +9,8 @@
 //       allocation"; "converges" because schedule-dependent decomposition
 //       footprints can legitimately raise the arenas' high-water mark);
 //   (3) one engine serves graphs of different shapes and sizes back to
-//       back, including shrinking ones.
+//       back, including shrinking ones, and labels and forest runs back to
+//       back (the two modes share the arenas).
 
 #include <gtest/gtest.h>
 
@@ -131,9 +132,9 @@ TEST(CcEngine, MatchesOneShotExactlyOnOneWorker) {
     opt.variant = variant;
     opt.seed = 99;
     const std::vector<vertex_id> oneshot = connected_components(g, opt);
-    cc::cc_engine engine(opt);
+    cc::cc_engine engine;
     for (int rep = 0; rep < 3; ++rep) {
-      const std::span<const vertex_id> labels = engine.run(g);
+      const std::span<const vertex_id> labels = engine.run(g, opt);
       ASSERT_EQ(labels.size(), oneshot.size()) << vname << " rep " << rep;
       for (size_t i = 0; i < labels.size(); ++i) {
         ASSERT_EQ(labels[i], oneshot[i]) << vname << " rep " << rep
@@ -150,10 +151,10 @@ TEST(CcEngine, ValidOnCorpusBothBackends) {
       cc_options opt;
       opt.algorithm = "decomp";
       opt.variant = variant;
-      cc::cc_engine engine(opt);
+      cc::cc_engine engine;
       for (const auto& gc : pcc::testing::correctness_corpus()) {
         const graph::graph g = gc.make();
-        const std::span<const vertex_id> labels = engine.run(g);
+        const std::span<const vertex_id> labels = engine.run(g, opt);
         ASSERT_EQ(labels.size(), g.num_vertices()) << gc.name;
         if (g.num_vertices() == 0) continue;
         const std::vector<vertex_id> copy(labels.begin(), labels.end());
@@ -177,8 +178,8 @@ TEST(CcEngine, StatsMatchOneShot) {
     opt.algorithm = "decomp";
     opt.variant = variant;
     cc_stats engine_stats;
-    cc::cc_engine engine(opt);
-    engine.run(g, &engine_stats);
+    cc::cc_engine engine;
+    engine.run(g, opt, &engine_stats);
     ASSERT_FALSE(engine_stats.levels.empty()) << vname;
     EXPECT_EQ(engine_stats.levels[0].n, g.num_vertices()) << vname;
     EXPECT_EQ(engine_stats.levels[0].m, g.num_edges()) << vname;
@@ -189,7 +190,7 @@ TEST(CcEngine, StatsMatchOneShot) {
     EXPECT_FALSE(engine_stats.used_fallback) << vname;
     // A second run starts stats from scratch (no accumulation surprises).
     cc_stats again;
-    engine.run(g, &again);
+    engine.run(g, opt, &again);
     EXPECT_EQ(again.levels.size(), engine_stats.levels.size()) << vname;
   }
 }
@@ -213,7 +214,7 @@ TEST(CcEngine, ReusableAcrossDifferentGraphs) {
   probes.push_back({graph::grid3d_graph(8000, true, 5), 1});
   for (size_t pi = 0; pi < probes.size(); ++pi) {
     const auto& p = probes[pi];
-    const std::span<const vertex_id> labels = engine.run(p.g);
+    const std::span<const vertex_id> labels = engine.run(p.g, {});
     ASSERT_EQ(labels.size(), p.g.num_vertices()) << "probe " << pi;
     const std::vector<vertex_id> copy(labels.begin(), labels.end());
     EXPECT_TRUE(baselines::is_valid_components_labeling(p.g, copy))
@@ -225,11 +226,11 @@ TEST(CcEngine, ReusableAcrossDifferentGraphs) {
 
 TEST(CcEngine, EmptyAndTrivialInputs) {
   cc::cc_engine engine;
-  EXPECT_TRUE(engine.run(graph::empty_graph(0)).empty());
-  const auto one = engine.run(graph::empty_graph(1));
+  EXPECT_TRUE(engine.run(graph::empty_graph(0), {}).empty());
+  const auto one = engine.run(graph::empty_graph(1), {});
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0], 0u);
-  const auto iso = engine.run(graph::empty_graph(64));
+  const auto iso = engine.run(graph::empty_graph(64), {});
   for (size_t v = 0; v < 64; ++v) EXPECT_EQ(iso[v], v);
 }
 
@@ -252,16 +253,16 @@ TEST(CcEngine, HotPathRunIsAllocationFree) {
         opt.algorithm = "decomp";
         opt.variant = variant;
         opt.shifts = shifts;
-        cc::cc_engine engine(opt);
-        engine.run(g);  // warm-up: arenas chain chunks as needed
-        engine.run(g);  // warm-up: reset() consolidates to high-water mark
+        cc::cc_engine engine;
+        engine.run(g, opt);  // warm-up: arenas chain chunks as needed
+        engine.run(g, opt);  // warm-up: reset() consolidates to high-water mark
 
         bool saw_clean_run = false;
         std::span<const vertex_id> labels;
         for (int attempt = 0; attempt < 10 && !saw_clean_run; ++attempt) {
           g_alloc_count.store(0, std::memory_order_relaxed);
           g_count_allocs.store(true, std::memory_order_relaxed);
-          labels = engine.run(g);
+          labels = engine.run(g, opt);
           g_count_allocs.store(false, std::memory_order_relaxed);
           saw_clean_run = g_alloc_count.load(std::memory_order_relaxed) == 0;
         }
@@ -290,32 +291,93 @@ TEST(CcEngine, ReserveFrontLoadsAllocation) {
   for (const auto& [sname, shifts] : all_shifts()) {
     cc_options opt;
     opt.shifts = shifts;
-    cc::cc_engine engine(opt);
+    cc::cc_engine engine;
     engine.reserve(g.num_vertices(), g.num_edges());
-    engine.run(g);
-    engine.run(g);
+    engine.run(g, opt);
+    engine.run(g, opt);
 
     g_alloc_count.store(0, std::memory_order_relaxed);
     g_count_allocs.store(true, std::memory_order_relaxed);
-    engine.run(g);
+    engine.run(g, opt);
     g_count_allocs.store(false, std::memory_order_relaxed);
     EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u) << sname;
   }
 }
 
 TEST(CcEngine, OptionsAreHonored) {
+  // Options travel with each call: one engine, several option sets, each
+  // run reproducing the one-shot with the same knobs (bit for bit at one
+  // worker, where the pipeline is deterministic given the seed).
+  parallel::scoped_workers one(1);
   const graph::graph g = graph::random_graph(4000, 3, 21);
-  cc_options opt;
-  opt.algorithm = "decomp";
-  opt.beta = 0.1;
-  opt.dedup = false;
-  opt.variant = decomp_variant::kArb;
-  cc::cc_engine engine(opt);
-  EXPECT_EQ(engine.options().beta, 0.1);
-  EXPECT_FALSE(engine.options().dedup);
-  const std::span<const vertex_id> labels = engine.run(g);
-  const std::vector<vertex_id> copy(labels.begin(), labels.end());
-  EXPECT_TRUE(baselines::is_valid_components_labeling(g, copy));
+  cc::cc_engine engine;
+  for (double beta : {0.1, 0.5}) {
+    for (uint64_t seed : {7u, 8u}) {
+      for (bool dedup : {false, true}) {
+        cc_options opt;
+        opt.algorithm = "decomp";
+        opt.variant = decomp_variant::kArb;
+        opt.beta = beta;
+        opt.seed = seed;
+        opt.dedup = dedup;
+        const std::string what = "beta=" + std::to_string(beta) +
+                                 " seed=" + std::to_string(seed) +
+                                 " dedup=" + std::to_string(dedup);
+        cc_stats stats;
+        const std::span<const vertex_id> labels = engine.run(g, opt, &stats);
+        const std::vector<vertex_id> copy(labels.begin(), labels.end());
+        EXPECT_TRUE(baselines::is_valid_components_labeling(g, copy)) << what;
+        EXPECT_EQ(copy, connected_components(g, opt)) << what;
+        ASSERT_FALSE(stats.levels.empty()) << what;
+        if (!dedup) {
+          EXPECT_STREQ(stats.levels[0].dedup_route, "off") << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(CcEngine, AlternatingLabelsAndForestRunsAreAllocationFree) {
+  // Labels and forest runs share one set of arenas: after warm-up, a
+  // run + run_forest pair must reach an allocation-free steady state (the
+  // same bounded-retry discipline as HotPathRunIsAllocationFree), on both
+  // shift schedules, and neither mode may corrupt the other's answers.
+  const graph::graph g = graph::random_graph(20000, 5, 7);
+  const std::vector<vertex_id> ref = graph::reference_components(g);
+  for (const auto& [sname, shifts] : all_shifts()) {
+    cc_options opt;
+    opt.shifts = shifts;
+    cc::cc_engine engine;
+    for (int warm = 0; warm < 2; ++warm) {
+      engine.run(g, opt);
+      engine.run_forest(g, opt);
+    }
+
+    bool saw_clean_pair = false;
+    // Reserved up front: the copy of the labels sits inside the counted
+    // region (the next run overwrites the span).
+    std::vector<vertex_id> labels, forest_labels;
+    labels.reserve(g.num_vertices());
+    size_t forest_size = 0;
+    for (int attempt = 0; attempt < 10 && !saw_clean_pair; ++attempt) {
+      g_alloc_count.store(0, std::memory_order_relaxed);
+      g_count_allocs.store(true, std::memory_order_relaxed);
+      const std::span<const vertex_id> l = engine.run(g, opt);
+      labels.assign(l.begin(), l.end());
+      const cc::cc_engine::forest_result r = engine.run_forest(g, opt);
+      g_count_allocs.store(false, std::memory_order_relaxed);
+      saw_clean_pair = g_alloc_count.load(std::memory_order_relaxed) == 0;
+      forest_labels.assign(r.labels.begin(), r.labels.end());
+      forest_size = r.forest.size();
+    }
+
+    EXPECT_TRUE(saw_clean_pair)
+        << "no allocation-free run pair in 10 attempts; shifts " << sname;
+    EXPECT_TRUE(baselines::labels_equivalent(labels, ref)) << sname;
+    EXPECT_TRUE(baselines::labels_equivalent(forest_labels, ref)) << sname;
+    EXPECT_EQ(forest_size, g.num_vertices() - cc::num_components(ref))
+        << sname;
+  }
 }
 
 }  // namespace

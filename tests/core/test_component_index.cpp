@@ -77,8 +77,8 @@ TEST(ComponentIndex, SpanConstructorMatchesVectorConstructor) {
   // cc_engine::run() returns a span over engine-owned labels; building the
   // index from it must agree with the vector overload (and not copy).
   const graph::graph g = graph::random_graph(700, 3, 17);
-  cc::cc_engine engine(cc::cc_options{});
-  const std::span<const vertex_id> span_labels = engine.run(g);
+  cc::cc_engine engine;
+  const std::span<const vertex_id> span_labels = engine.run(g, {});
   const std::vector<vertex_id> vec_labels(span_labels.begin(),
                                           span_labels.end());
   const component_index from_span(span_labels);

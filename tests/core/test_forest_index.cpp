@@ -12,8 +12,8 @@
 #include <set>
 #include <vector>
 
+#include "core/cc_engine.hpp"
 #include "core/forest_index.hpp"
-#include "core/sf_engine.hpp"
 #include "test_helpers.hpp"
 
 namespace pcc {
@@ -102,8 +102,8 @@ struct built_index {
 };
 
 built_index build(graph::graph g) {
-  cc::sf_engine engine;
-  const cc::sf_engine::result r = engine.run(g);
+  cc::cc_engine engine;
+  const cc::cc_engine::forest_result r = engine.run_forest(g, {});
   std::vector<graph::edge> forest(r.forest.begin(), r.forest.end());
   std::vector<vertex_id> labels(r.labels.begin(), r.labels.end());
   forest_index idx(g.num_vertices(), forest, labels);

@@ -1,15 +1,17 @@
-// sf_engine: the workspace-backed labels+forest executor behind
+// cc_engine::run_forest: the workspace-backed labels+forest mode behind
 // spanning_forest.
 //
-//   (1) run() agrees with the one-shot API and with connectivity
+//   (1) run_forest() agrees with the one-shot API and with connectivity
 //       (forest valid, labels the same partition as the oracle);
 //   (2) the forest and the labels are bit-identical across worker counts
 //       and scheduler backends (the two-phase claim protocol's whole
 //       point), and stable across repeated runs of a warm engine;
-//   (3) after warm-up, run() converges to zero heap allocation (global
-//       operator-new hook, same discipline as test_cc_engine.cpp);
+//   (3) after warm-up, run_forest() converges to zero heap allocation
+//       (global operator-new hook, same discipline as test_cc_engine.cpp);
 //   (4) through the registry, the reorder wrapper maps the forest back to
-//       original vertex ids for every policy on a skew-heavy corpus.
+//       original vertex ids for every policy on a skew-heavy corpus, the
+//       caller's options reach the engine, and labels and forest queries
+//       share one workspace without allocating after warm-up.
 
 #include <gtest/gtest.h>
 
@@ -21,8 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "core/cc_engine.hpp"
 #include "core/registry.hpp"
-#include "core/sf_engine.hpp"
 #include "core/spanning_forest.hpp"
 #include "test_helpers.hpp"
 
@@ -98,8 +100,9 @@ namespace pcc {
 namespace {
 
 using baselines::union_find;
+using cc::cc_engine;
 using cc::cc_options;
-using cc::sf_engine;
+using forest_result = cc::cc_engine::forest_result;
 
 // Full validation of a claimed spanning forest of g (span flavour of the
 // helper in test_spanning_forest.cpp).
@@ -153,9 +156,9 @@ TEST(SfEngine, MatchesOneShotExactly) {
   cc_options opt;
   opt.seed = 99;
   const std::vector<graph::edge> oneshot = cc::spanning_forest(g, opt);
-  sf_engine engine(opt);
+  cc_engine engine;
   for (int rep = 0; rep < 3; ++rep) {
-    const sf_engine::result r = engine.run(g);
+    const forest_result r = engine.run_forest(g, opt);
     ASSERT_EQ(r.forest.size(), oneshot.size()) << "rep " << rep;
     for (size_t i = 0; i < oneshot.size(); ++i) {
       ASSERT_EQ(r.forest[i], oneshot[i]) << "rep " << rep << " edge " << i;
@@ -166,10 +169,10 @@ TEST(SfEngine, MatchesOneShotExactly) {
 TEST(SfEngine, ValidOnCorpusBothBackends) {
   for (auto b : {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
     parallel::scoped_backend guard(b);
-    sf_engine engine;
+    cc_engine engine;
     for (const auto& gc : pcc::testing::correctness_corpus()) {
       const graph::graph g = gc.make();
-      const sf_engine::result r = engine.run(g);
+      const forest_result r = engine.run_forest(g, {});
       ASSERT_EQ(r.labels.size(), g.num_vertices()) << gc.name;
       expect_valid_forest(g, r.forest);
       if (g.num_vertices() == 0) continue;
@@ -205,8 +208,8 @@ TEST(SfEngine, ForestAndLabelsIdenticalAcrossWorkersAndBackends) {
     std::vector<vertex_id> base_labels;
     {
       parallel::scoped_workers one(1);
-      sf_engine engine(opt);
-      const sf_engine::result r = engine.run(c.g);
+      cc_engine engine;
+      const forest_result r = engine.run_forest(c.g, opt);
       base_forest.assign(r.forest.begin(), r.forest.end());
       base_labels.assign(r.labels.begin(), r.labels.end());
     }
@@ -215,8 +218,8 @@ TEST(SfEngine, ForestAndLabelsIdenticalAcrossWorkersAndBackends) {
       parallel::scoped_backend guard(b);
       for (int workers : {1, 2, 3, 4, 8}) {
         parallel::scoped_workers w(workers);
-        sf_engine engine(opt);
-        const sf_engine::result r = engine.run(c.g);
+        cc_engine engine;
+        const forest_result r = engine.run_forest(c.g, opt);
         const std::string what =
             std::string(c.name) + " workers=" + std::to_string(workers) +
             " backend=" +
@@ -234,29 +237,39 @@ TEST(SfEngine, ForestAndLabelsIdenticalAcrossWorkersAndBackends) {
   }
 }
 
-TEST(SfEngine, PerRunOptionsOverrideConstructorOptions) {
+TEST(SfEngine, PerCallOptionsAreHonored) {
+  // Options travel with each call: one engine, several option sets, each
+  // forest matching a one-shot with the same knobs.
   const graph::graph g = graph::random_graph(5000, 4, 3);
-  sf_engine engine;  // defaults
+  cc_engine engine;
   for (double beta : {0.05, 0.5}) {
     for (uint64_t seed : {7u, 8u}) {
-      cc_options opt;
-      opt.beta = beta;
-      opt.seed = seed;
-      const sf_engine::result r = engine.run(g, opt);
-      expect_valid_forest(g, r.forest);
-      // Must match a one-shot with the same knobs.
-      const auto oneshot = cc::spanning_forest(g, opt);
-      ASSERT_EQ(r.forest.size(), oneshot.size());
-      for (size_t i = 0; i < oneshot.size(); ++i) {
-        ASSERT_EQ(r.forest[i], oneshot[i])
-            << "beta=" << beta << " seed=" << seed << " edge " << i;
+      for (bool dedup : {false, true}) {
+        cc_options opt;
+        opt.beta = beta;
+        opt.seed = seed;
+        opt.dedup = dedup;
+        cc::cc_stats stats;
+        const forest_result r = engine.run_forest(g, opt, &stats);
+        expect_valid_forest(g, r.forest);
+        ASSERT_FALSE(stats.levels.empty());
+        if (!dedup) {
+          EXPECT_STREQ(stats.levels[0].dedup_route, "off");
+        }
+        const auto oneshot = cc::spanning_forest(g, opt);
+        ASSERT_EQ(r.forest.size(), oneshot.size());
+        for (size_t i = 0; i < oneshot.size(); ++i) {
+          ASSERT_EQ(r.forest[i], oneshot[i])
+              << "beta=" << beta << " seed=" << seed << " dedup=" << dedup
+              << " edge " << i;
+        }
       }
     }
   }
 }
 
 TEST(SfEngine, ReusableAcrossDifferentGraphs) {
-  sf_engine engine;
+  cc_engine engine;
   std::vector<pcc::testing::graph_case> probes = {
       {"cycle", [] { return graph::cycle_graph(1000); }},
       {"mixture",
@@ -273,22 +286,21 @@ TEST(SfEngine, ReusableAcrossDifferentGraphs) {
   };
   for (const auto& p : probes) {
     const graph::graph g = p.make();
-    const sf_engine::result r = engine.run(g);
+    const forest_result r = engine.run_forest(g, {});
     expect_valid_forest(g, r.forest);
-    // last_forest() mirrors the span the result carries.
-    ASSERT_EQ(engine.last_forest().size(), r.forest.size()) << p.name;
+    ASSERT_EQ(r.labels.size(), g.num_vertices()) << p.name;
   }
 }
 
 TEST(SfEngine, EmptyAndTrivialInputs) {
-  sf_engine engine;
-  EXPECT_TRUE(engine.run(graph::empty_graph(0)).forest.empty());
-  EXPECT_TRUE(engine.run(graph::empty_graph(0)).labels.empty());
-  const auto one = engine.run(graph::empty_graph(1));
+  cc_engine engine;
+  EXPECT_TRUE(engine.run_forest(graph::empty_graph(0), {}).forest.empty());
+  EXPECT_TRUE(engine.run_forest(graph::empty_graph(0), {}).labels.empty());
+  const auto one = engine.run_forest(graph::empty_graph(1), {});
   EXPECT_TRUE(one.forest.empty());
   ASSERT_EQ(one.labels.size(), 1u);
   EXPECT_EQ(one.labels[0], 0u);
-  const auto iso = engine.run(graph::empty_graph(64));
+  const auto iso = engine.run_forest(graph::empty_graph(64), {});
   EXPECT_TRUE(iso.forest.empty());
   for (size_t v = 0; v < 64; ++v) EXPECT_EQ(iso.labels[v], v);
 }
@@ -308,16 +320,16 @@ TEST(SfEngine, HotPathRunIsAllocationFree) {
                         ldd::shift_mode::kPermutationChunks}) {
       cc_options opt;
       opt.shifts = shifts;
-      sf_engine engine(opt);
-      engine.run(g);  // warm-up: arenas chain chunks as needed
-      engine.run(g);  // warm-up: reset() consolidates to high-water mark
+      cc_engine engine;
+      engine.run_forest(g, opt);  // warm-up: arenas chain chunks as needed
+      engine.run_forest(g, opt);  // warm-up: reset() consolidates
 
       bool saw_clean_run = false;
-      sf_engine::result r;
+      forest_result r;
       for (int attempt = 0; attempt < 10 && !saw_clean_run; ++attempt) {
         g_alloc_count.store(0, std::memory_order_relaxed);
         g_count_allocs.store(true, std::memory_order_relaxed);
-        r = engine.run(g);
+        r = engine.run_forest(g, opt);
         g_count_allocs.store(false, std::memory_order_relaxed);
         saw_clean_run = g_alloc_count.load(std::memory_order_relaxed) == 0;
       }
@@ -338,14 +350,14 @@ TEST(SfEngine, ReserveFrontLoadsAllocation) {
                       ldd::shift_mode::kPermutationChunks}) {
     cc_options opt;
     opt.shifts = shifts;
-    sf_engine engine(opt);
+    cc_engine engine;
     engine.reserve(g.num_vertices(), g.num_edges());
-    engine.run(g);
-    engine.run(g);
+    engine.run_forest(g, opt);
+    engine.run_forest(g, opt);
 
     g_alloc_count.store(0, std::memory_order_relaxed);
     g_count_allocs.store(true, std::memory_order_relaxed);
-    engine.run(g);
+    engine.run_forest(g, opt);
     g_count_allocs.store(false, std::memory_order_relaxed);
     EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u)
         << (shifts == ldd::shift_mode::kExponentialShifts ? "exp" : "chunk");
@@ -439,6 +451,85 @@ TEST(SfRegistry, NonForestAlgorithmsClearLastForest) {
   EXPECT_FALSE(plain->produces_forest);
   cc::run_algorithm(*plain, g, {}, ws, labels);
   EXPECT_TRUE(ws.last_forest.empty());
+}
+
+TEST(SfRegistry, SpanningForestHonorsDenseThreshold) {
+  // The registry entry must hand the engine every pipeline knob the caller
+  // set; dense_threshold = 1.0 never lets a frontier exceed it, so no level
+  // may run a dense round.
+  const graph::graph g = graph::random_graph(1 << 15, 5, 11);
+  const cc::algorithm* sf = cc::find_algorithm("spanning-forest");
+  ASSERT_NE(sf, nullptr);
+  cc::algo_workspace ws;
+  std::vector<vertex_id> labels(g.num_vertices());
+
+  // Precondition: at the default threshold this graph does go dense, so
+  // the check below can tell an ignored knob from an honored one.
+  cc::cc_stats defaults;
+  cc::run_algorithm(*sf, g, {}, ws, labels, &defaults);
+  size_t default_dense = 0;
+  for (const cc::level_stats& ls : defaults.levels) {
+    default_dense += ls.dense_rounds;
+  }
+  ASSERT_GT(default_dense, 0u);
+
+  cc_options opt;
+  opt.dense_threshold = 1.0;
+  cc::cc_stats stats;
+  cc::run_algorithm(*sf, g, opt, ws, labels, &stats);
+  ASSERT_FALSE(stats.levels.empty());
+  for (size_t i = 0; i < stats.levels.size(); ++i) {
+    EXPECT_EQ(stats.levels[i].dense_rounds, 0u) << "level " << i;
+  }
+  const std::vector<graph::edge> oneshot = cc::spanning_forest(g, opt);
+  ASSERT_EQ(ws.last_forest.size(), oneshot.size());
+  for (size_t i = 0; i < oneshot.size(); ++i) {
+    ASSERT_EQ(ws.last_forest[i], oneshot[i]) << "edge " << i;
+  }
+}
+
+TEST(SfRegistry, AlternatingQueriesShareOneWorkspaceAllocationFree) {
+  // The set-up pattern of repeated-query callers: one reserved workspace
+  // answering labels and forest queries in turn. Both run on the one
+  // engine's arenas, so after warm-up a labels + forest pair must reach an
+  // allocation-free steady state (bounded retries: labels runs have
+  // schedule-dependent footprints), on both shift schedules.
+  const graph::graph g = graph::random_graph(20000, 5, 7);
+  const size_t n = g.num_vertices();
+  const cc::algorithm* plain = cc::find_algorithm("decomp-arb-hybrid");
+  const cc::algorithm* sf = cc::find_algorithm("spanning-forest");
+  ASSERT_NE(plain, nullptr);
+  ASSERT_NE(sf, nullptr);
+  for (auto shifts : {ldd::shift_mode::kExponentialShifts,
+                      ldd::shift_mode::kPermutationChunks}) {
+    const char* sname =
+        shifts == ldd::shift_mode::kExponentialShifts ? "exp" : "chunk";
+    cc_options opt;
+    opt.shifts = shifts;
+    cc::algo_workspace ws;
+    ws.reserve(n, g.num_edges());
+    std::vector<vertex_id> labels(n), sf_labels(n);
+    for (int warm = 0; warm < 2; ++warm) {
+      cc::run_algorithm(*plain, g, opt, ws, labels);
+      cc::run_algorithm(*sf, g, opt, ws, sf_labels);
+    }
+
+    bool saw_clean_pair = false;
+    for (int attempt = 0; attempt < 10 && !saw_clean_pair; ++attempt) {
+      g_alloc_count.store(0, std::memory_order_relaxed);
+      g_count_allocs.store(true, std::memory_order_relaxed);
+      cc::run_algorithm(*plain, g, opt, ws, labels);
+      cc::run_algorithm(*sf, g, opt, ws, sf_labels);
+      g_count_allocs.store(false, std::memory_order_relaxed);
+      saw_clean_pair = g_alloc_count.load(std::memory_order_relaxed) == 0;
+    }
+
+    EXPECT_TRUE(saw_clean_pair)
+        << "no allocation-free query pair in 10 attempts; shifts " << sname;
+    EXPECT_TRUE(baselines::is_valid_components_labeling(g, labels)) << sname;
+    expect_same_partition(labels, sf_labels, sname);
+    expect_valid_forest(g, ws.last_forest);
+  }
 }
 
 }  // namespace

@@ -100,6 +100,19 @@ TEST(Builder, EmptyInputs) {
   EXPECT_EQ(g.num_edges(), 0u);
 }
 
+TEST(Builder, RejectsOutOfRangeEndpoints) {
+  EXPECT_THROW(from_edges(3, {{0, 5}}), std::invalid_argument);
+  EXPECT_THROW(from_edges(3, {{3, 0}}), std::invalid_argument);
+  EXPECT_NO_THROW(from_edges(3, {{0, 2}}));
+}
+
+TEST(Builder, RejectsTooManyVertices) {
+  // Checked before anything is allocated: an offsets array for this many
+  // vertices would need 16 GB.
+  EXPECT_THROW(from_edges(kMaxVertices + 1, {}), std::invalid_argument);
+  EXPECT_THROW(from_packed_edges(kMaxVertices + 1, {}), std::invalid_argument);
+}
+
 TEST(Builder, MatchesBruteForceOnRandomInputs) {
   parallel::rng gen(77);
   for (uint64_t trial = 0; trial < 12; ++trial) {

@@ -193,14 +193,14 @@ TEST_P(WorkerCountInvariance, ComponentPartitionIdenticalAtEveryWorkerCount) {
   cc::cc_options opt;
   opt.variant = cc::decomp_variant::kArbHybrid;
   opt.beta = 0.2;
-  cc::cc_engine engine(opt);
+  cc::cc_engine engine;
   for (const auto& g :
        {graph::random_graph(3000, 4, 11), graph::grid3d_graph(2197, true, 12),
         graph::line_graph(2000, false)}) {
     std::vector<vertex_id> reference;
     {
       scoped_workers guard(1);
-      const auto labels = engine.run(g);
+      const auto labels = engine.run(g, opt);
       reference.assign(labels.begin(), labels.end());
     }
     // Arbitrary-CC labels are schedule-dependent but the PARTITION is not:
@@ -218,7 +218,7 @@ TEST_P(WorkerCountInvariance, ComponentPartitionIdenticalAtEveryWorkerCount) {
     const std::vector<vertex_id> ref_norm = normalize(reference);
     for (const int k : {2, 3, 8}) {
       scoped_workers guard(k);
-      const auto labels = engine.run(g);
+      const auto labels = engine.run(g, opt);
       EXPECT_EQ(normalize(labels), ref_norm)
           << "component partition changed at " << k << " workers";
     }

@@ -71,16 +71,20 @@ TEST_P(TsanBackends, FullPipelineRepeated) {
 }
 
 TEST_P(TsanBackends, EngineReuseRepeated) {
-  // The engine reuses arena memory across runs — a missing barrier between
-  // a level's producers and the next run's consumers shows up here.
+  // The engine reuses arena memory across runs, labels and forest runs
+  // alike — a missing barrier between a level's producers and the next
+  // run's consumers shows up here.
   parallel::scoped_backend bk(GetParam());
   parallel::scoped_workers workers(8);
   cc::cc_engine engine;
   for (int rep = 0; rep < 3; ++rep) {
     for (const auto& g : stress_graphs()) {
-      const auto labels = engine.run(g);
+      const auto labels = engine.run(g, {});
       ASSERT_TRUE(baselines::is_valid_components_labeling(
           g, std::vector<vertex_id>(labels.begin(), labels.end())));
+      const auto r = engine.run_forest(g, {});
+      ASSERT_TRUE(baselines::is_valid_components_labeling(
+          g, std::vector<vertex_id>(r.labels.begin(), r.labels.end())));
     }
   }
 }

@@ -1,6 +1,6 @@
 // Negative fixtures for the shared-write check on witness spans: the
 // disciplined store shapes of the spanning-forest decomposition
-// (src/core/sf_engine.cpp). A forest edge's identity depends on WHICH
+// (src/core/decomp_arb_sf.cpp). A forest edge's identity depends on WHICH
 // claim wins, so the pipeline resolves targets with a two-phase protocol
 // and keeps every witness write either owner-indexed, behind the atomics
 // vocabulary, or under a stated disjointness invariant.

@@ -74,7 +74,7 @@ class SharedWriteTests(unittest.TestCase):
 
 
 class WitnessSpanTests(unittest.TestCase):
-    """Witness-span discipline (src/core/sf_engine.cpp): a forest edge's
+    """Witness-span discipline (src/core/decomp_arb_sf.cpp): a forest edge's
     identity depends on WHICH claim wins, so witness stores must be
     owner-indexed, atomic (the two-phase claim's write_min), or carry a
     validated private-write invariant. The fixtures mirror the pipeline's
