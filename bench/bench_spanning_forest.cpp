@@ -65,7 +65,11 @@ int main() {
   suite.push_back({"3D-grid", graph::grid3d_graph(base, true, 93)});
   suite.push_back({"line", graph::line_graph(2 * base, false)});
 
-  const cc::cc_options opt;
+  // The engines ignore `algorithm`; pinning it makes the labels one-shot
+  // run the same pipeline as the labels engine it is paired with (the
+  // default, "auto", picks an afforest-class algorithm instead).
+  cc::cc_options opt;
+  opt.algorithm = "decomp-arb-hybrid";
   cc::cc_engine engine;
   std::printf("\n%-12s %16s %16s %14s\n", "graph", "decomp-SF (s)",
               "serial-SF (s)", "forest edges");
@@ -113,16 +117,16 @@ int main() {
       (void)fresh.run_forest(g, opt).forest.size();
     });
     const time_stats cc_cold =
-        time_stats_of([&] { (void)cc::connected_components(g); });
+        time_stats_of([&] { (void)cc::connected_components(g, opt); });
 
     const double ratio = sf_warm.median_s / cc_warm.median_s;
     std::printf("%-10s %16.4f %16.4f %16.4f %16.4f %7.2fx\n", gname.c_str(),
                 sf_warm.median_s, cc_warm.median_s, sf_cold.median_s,
                 cc_cold.median_s, ratio);
     records.push_back({"sf-engine-warm", gname, sf_warm, "spanning-forest"});
-    records.push_back({"cc-engine-warm", gname, cc_warm, ""});
+    records.push_back({"cc-engine-warm", gname, cc_warm, opt.algorithm});
     records.push_back({"sf-oneshot", gname, sf_cold, "spanning-forest"});
-    records.push_back({"cc-oneshot", gname, cc_cold, ""});
+    records.push_back({"cc-oneshot", gname, cc_cold, opt.algorithm});
   }
 
   std::printf("\nEvery forest checked: exact size, acyclic, edges of the "

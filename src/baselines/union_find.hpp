@@ -68,16 +68,21 @@ class concurrent_union_find {
     }
   }
 
-  // Find with path compression (safe concurrently: compression only ever
-  // re-points a node at an ancestor).
+  // Find with path halving: each step swings x's parent to its
+  // grandparent with a CAS, so a node is only ever re-pointed at a proper
+  // ancestor and concurrent finds and links can never form a cycle.
+  // (Re-pointing the path at a root found earlier is not safe: that root
+  // may since have been linked under a smaller one that another find
+  // already stored on the path, and the walk would then point the newer
+  // root back down at the older one.)
   vertex_id find_compress(vertex_id x) {
-    const vertex_id root = find(x);
-    while (x != root) {
+    while (true) {
       const vertex_id p = parallel::atomic_load(&parent_[x]);
-      parallel::atomic_store(&parent_[x], root);
-      x = p;
+      if (p == x) return x;
+      const vertex_id gp = parallel::atomic_load(&parent_[p]);
+      if (gp != p) parallel::cas(&parent_[x], p, gp);
+      x = gp;
     }
-    return root;
   }
 
   // Concurrent union. Returns true iff this call performed the link that

@@ -209,7 +209,7 @@ cc_engine::forest_result cc_engine::run_levels(const graph::graph& g,
       parallel::workspace::scope s(scratch_);
       const ldd::options dopt = level_options(opt, level);
       parallel::phase_timer* pt = stats != nullptr ? &stats->phases : nullptr;
-      dec = kWitness ? ldd::internal::decomp_arb_sf_into(
+      dec = kWitness ? ldd::internal::decomp_arb_hybrid_into(
                            cur, cur_witness, /*identity_witness=*/level == 0,
                            dopt, cluster, forest, forest_count, scratch_, pt)
                      : run_decomposition(cur, opt.variant, dopt, cluster,

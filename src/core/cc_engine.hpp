@@ -18,9 +18,10 @@
 // run_forest() is the same loop with every edge slot of every level graph
 // carrying a *witness*, the original-graph edge that realizes it; the BFS
 // claim edges' witnesses form the forest (n - #components edges). Its
-// decomposition (core/decomp_arb_sf.cpp) and the witness-preserving dedup
-// (contract.hpp) are deterministic, so the forest is a pure function of
-// (graph, options), identical across worker counts and scheduler backends.
+// decomposition (the witness mode of core/decomp_arb_hybrid.cpp) and the
+// witness-preserving dedup (contract.hpp) are deterministic, so the forest
+// is a pure function of (graph, options), identical across worker counts
+// and scheduler backends.
 //
 // Both modes share the arenas. They warm up over the first runs (and
 // consolidate to their high-water mark); after that, a run performs no

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 #include "graph/builder.hpp"
 #include "parallel/atomics.hpp"
@@ -97,9 +98,9 @@ dedup_strategy choose_dedup_route(size_t m, size_t k) {
 
 namespace {
 
-// Stages shared by both contract_into overloads: per-vertex gather offsets
-// into the packed pair array, surviving-cluster detection, contracted id
-// assignment (new_id / rep). gather_off is carved from scratch_ws — the
+// The first stages of a contraction: per-vertex gather offsets into the
+// packed pair array, surviving-cluster detection, contracted id assignment
+// (new_id / rep). gather_off is carved from scratch_ws — the
 // caller's rewind scope must already be open.
 std::span<edge_id> contract_prelude(const ldd::work_graph& wg,
                                     std::span<const vertex_id> cluster,
@@ -158,6 +159,189 @@ std::span<edge_id> contract_prelude(const ldd::work_graph& wg,
   return gather_off;
 }
 
+uint64_t pair_of(uint64_t p) { return p; }
+uint64_t pair_of(const witness_pair& r) { return r.pair; }
+
+// Gather the kept edges in flattened CSR order as packed (new source id,
+// new target id) pairs, each with its slot's witness when Rec is
+// witness_pair. Targets were relabeled to cluster ids during the
+// decomposition; sources are relabeled here via the vertex's own cluster.
+template <typename Rec>
+std::span<Rec> gather_kept(const ldd::work_graph& wg,
+                           std::span<const vertex_id> cluster,
+                           std::span<const vertex_id> new_id,
+                           std::span<const edge_id> gather_off,
+                           std::span<const uint64_t> witness, edge_id total,
+                           parallel::workspace& ws) {
+  std::span<Rec> recs = ws.take<Rec>(total);
+  parallel_for(0, wg.n, [&](size_t v) {
+    const vertex_id src = new_id[cluster[v]];
+    const edge_id start = wg.offsets[v];
+    const edge_id base = gather_off[v];
+    for (vertex_id i = 0; i < wg.degrees[v]; ++i) {
+      const vertex_id tgt = new_id[wg.edges[start + i]];
+      assert(src != kNoVertex && tgt != kNoVertex && src != tgt);
+      const uint64_t pair = (static_cast<uint64_t>(src) << 32) | tgt;
+      Rec rec;
+      if constexpr (std::is_same_v<Rec, witness_pair>) {
+        rec = {pair, witness[start + i]};
+      } else {
+        rec = pair;
+      }
+      // lint: private-write(v owns the slice [gather_off[v], gather_off[v+1]))
+      recs[base + i] = rec;
+    }
+  });
+  return recs;
+}
+
+// Both contract_into overloads. Rec is what the sort route gathers per kept
+// edge: the packed pair alone (labels), or the pair with its witness
+// (forest). The hash route gathers plain pairs in either mode.
+template <typename Rec>
+contraction_view contract_impl(const ldd::work_graph& wg,
+                               std::span<const uint64_t> witness,
+                               std::span<const vertex_id> cluster, bool dedup,
+                               parallel::workspace& persist_ws,
+                               parallel::workspace& graph_ws,
+                               parallel::workspace& scratch_ws,
+                               dedup_strategy strategy) {
+  constexpr bool kWitness = std::is_same_v<Rec, witness_pair>;
+  contraction_view out;
+  parallel::workspace::scope s(scratch_ws);
+  std::span<edge_id> gather_off =
+      contract_prelude(wg, cluster, out, persist_ws, scratch_ws);
+  const edge_id total_kept = out.edges_before_dedup;
+  const size_t k = out.num_vertices;
+
+  // Semisort key: the packed (src, tgt) pair with the two id fields
+  // compacted so the radix passes cover both. One total sort by this key
+  // clusters each contracted vertex's edges together and orders them, which
+  // keeps the output deterministic whether or not dedup ran — and a set of
+  // pairs has exactly one sorted order, so both dedup routes below produce
+  // a byte-identical contracted CSR. Witnesses never enter the key.
+  const int b = parallel::bits_needed(k == 0 ? 1 : k);
+  const uint64_t tmask = b >= 32 ? ~uint32_t{0} : (uint64_t{1} << b) - 1;
+  const auto key = [b, tmask](const auto& r) {
+    const uint64_t p = pair_of(r);
+    return ((p >> 32) << b) | (p & tmask);
+  };
+
+  // The flattened gather position (base + i) is an edge's deterministic
+  // *gather rank*: it depends only on the CSR layout and the decomposition
+  // labeling, never on scheduling, so "minimum gather rank" is a
+  // scheduler-independent tie-break for witness selection under dedup.
+  const bool dedup_any = dedup && total_kept > 0;
+  const dedup_strategy route =
+      !dedup_any ? dedup_strategy::kSort
+                 : (strategy == dedup_strategy::kAuto
+                        ? choose_dedup_route(total_kept, k)
+                        : strategy);
+  if (dedup_any) out.dedup_route = dedup_strategy_name(route);
+
+  std::span<uint64_t> sorted;  // the contracted pairs, in key order
+  std::span<uint64_t> owit;    // parallel to `sorted` (forest mode)
+  if (route == dedup_strategy::kHash) {
+    // Phase-concurrent insert; the winner of each key emits it, and
+    // emit_pack's block-local staging packs the winners in index order —
+    // no shared cursor, and the compacted array's order depends only on
+    // which duplicate won each insert race (the sort below is total on
+    // the distinct keys, so the final CSR is deterministic regardless).
+    // Forest mode gathers the same plain pairs and folds each pair's
+    // gather rank into a map with an atomic write_min (deterministic
+    // regardless of arrival order); witnesses are pulled only for the
+    // distinct survivors, after the sort.
+    std::span<uint64_t> pairs = gather_kept<uint64_t>(
+        wg, cluster, out.new_id, gather_off, witness, total_kept, scratch_ws);
+    std::span<uint64_t> keys = scratch_ws.take<uint64_t>(
+        parallel::hash_set64_view::slots_needed(pairs.size()));
+    using table_t = std::conditional_t<kWitness, parallel::hash_map64_view,
+                                       parallel::hash_set64_view>;
+    table_t table = [&] {
+      if constexpr (kWitness) {
+        return table_t(keys, scratch_ws.take<uint64_t>(keys.size()));
+      } else {
+        return table_t(keys);
+      }
+    }();
+    std::span<uint64_t> deduped = scratch_ws.take<uint64_t>(pairs.size());
+    const size_t num_deduped = parallel::emit_pack<uint64_t>(
+        pairs.size(), deduped, scratch_ws,
+        [&](size_t i, parallel::emitter<uint64_t>& em) {
+          bool first;
+          if constexpr (kWitness) {
+            first = table.insert_min(pairs[i], i);
+          } else {
+            first = table.insert(pairs[i]);
+          }
+          if (first) em(pairs[i]);
+        });
+    sorted = deduped.first(num_deduped);
+    parallel::integer_sort_span(sorted, 2 * b, key, scratch_ws);
+    if constexpr (kWitness) {
+      // A gather rank names its original CSR slot through gather_off (an
+      // exclusive scan): the owner is the last v with gather_off[v] <=
+      // rank, and the slot is rank's offset into v's kept prefix. Only the
+      // distinct survivors ever invert, so the binary search cost is
+      // negligible.
+      owit = graph_ws.take<uint64_t>(sorted.size());
+      parallel_for(0, sorted.size(), [&](size_t j) {
+        uint64_t rank = ~uint64_t{0};
+        const bool found = table.find(sorted[j], &rank);
+        assert(found);
+        (void)found;
+        const auto it =
+            std::upper_bound(gather_off.begin(), gather_off.end(), rank);
+        const size_t v = static_cast<size_t>(it - gather_off.begin()) - 1;
+        // lint: private-write(owner index j)
+        owit[j] = witness[wg.offsets[v] + (rank - gather_off[v])];
+      });
+    }
+  } else {
+    // Sort route (and the no-dedup path): sort first, then drop adjacent
+    // duplicates with a scan-pack. In forest mode the witness rides along
+    // the radix passes; the sort is stable (LSD), so within a run of equal
+    // pairs the gather order survives, and keeping the first of each run
+    // selects the minimum-gather-rank witness.
+    std::span<Rec> recs = gather_kept<Rec>(
+        wg, cluster, out.new_id, gather_off, witness, total_kept, scratch_ws);
+    parallel::integer_sort_span(recs, 2 * b, key, scratch_ws);
+    if (dedup_any) {
+      std::span<Rec> deduped = scratch_ws.take<Rec>(recs.size());
+      const size_t num_deduped = parallel::emit_pack<Rec>(
+          recs.size(), deduped, scratch_ws,
+          [&](size_t i, parallel::emitter<Rec>& em) {
+            if (i == 0 || pair_of(recs[i]) != pair_of(recs[i - 1])) {
+              em(recs[i]);
+            }
+          });
+      recs = deduped.first(num_deduped);
+    }
+    if constexpr (kWitness) {
+      // Split the records: packed pairs feed the CSR build (temporary),
+      // witnesses go to graph_ws so they live exactly as long as the
+      // contracted CSR they parallel.
+      sorted = scratch_ws.take<uint64_t>(recs.size());
+      owit = graph_ws.take<uint64_t>(recs.size());
+      parallel_for(0, recs.size(), [&](size_t i) {
+        sorted[i] = recs[i].pair;   // lint: private-write(owner index i)
+        owit[i] = recs[i].witness;  // lint: private-write(owner index i)
+      });
+    } else {
+      sorted = recs;
+    }
+  }
+
+  // from_sorted_pairs_into preserves slot order (edges[i] comes from
+  // sorted[i]), so owit stays parallel to out.edges.
+  const graph::csr_spans csr =
+      graph::from_sorted_pairs_into(k, sorted, graph_ws, scratch_ws);
+  out.offsets = csr.offsets;
+  out.edges = csr.edges;
+  out.edge_witness = owit;
+  return out;
+}
+
 }  // namespace
 
 contraction_view contract_into(const ldd::work_graph& wg,
@@ -166,92 +350,8 @@ contraction_view contract_into(const ldd::work_graph& wg,
                                parallel::workspace& graph_ws,
                                parallel::workspace& scratch_ws,
                                dedup_strategy strategy) {
-  const size_t n = wg.n;
-  std::span<const edge_id> V = wg.offsets;
-  std::span<const vertex_id> E = wg.edges;
-  std::span<const vertex_id> D = wg.degrees;
-
-  contraction_view out;
-  parallel::workspace::scope s(scratch_ws);
-  std::span<edge_id> gather_off =
-      contract_prelude(wg, cluster, out, persist_ws, scratch_ws);
-  const edge_id total_kept = out.edges_before_dedup;
-  const size_t k = out.num_vertices;
-
-  // Gather the kept edges as packed (new source id, new target id) pairs.
-  // Targets were relabeled to cluster ids during the decomposition; sources
-  // are relabeled here via the vertex's own cluster.
-  std::span<uint64_t> pairs = scratch_ws.take<uint64_t>(total_kept);
-  parallel_for(0, n, [&](size_t v) {
-    const vertex_id src = out.new_id[cluster[v]];
-    const edge_id start = V[v];
-    const edge_id base = gather_off[v];
-    for (vertex_id i = 0; i < D[v]; ++i) {
-      const vertex_id tgt = out.new_id[E[start + i]];
-      assert(src != kNoVertex && tgt != kNoVertex && src != tgt);
-      // lint: private-write(v owns the slice [gather_off[v], gather_off[v+1]))
-      pairs[base + i] = (static_cast<uint64_t>(src) << 32) | tgt;
-    }
-  });
-
-  // Semisort key: the packed (src, tgt) pair with the two id fields
-  // compacted so the radix passes cover both. One total sort by this key
-  // clusters each contracted vertex's edges together and orders them, which
-  // keeps the output deterministic whether or not dedup ran — and a set of
-  // pairs has exactly one sorted order, so both dedup routes below produce
-  // a byte-identical contracted CSR.
-  const int b = parallel::bits_needed(k == 0 ? 1 : k);
-  const uint64_t tmask = b >= 32 ? ~uint32_t{0} : (uint64_t{1} << b) - 1;
-  const auto key = [b, tmask](uint64_t p) {
-    return ((p >> 32) << b) | (p & tmask);
-  };
-
-  bool sorted = false;
-  if (dedup && !pairs.empty()) {
-    const dedup_strategy route = strategy == dedup_strategy::kAuto
-                                     ? choose_dedup_route(total_kept, k)
-                                     : strategy;
-    out.dedup_route = dedup_strategy_name(route);
-    if (route == dedup_strategy::kSort) {
-      // Sort-dedup: sort first (folding in the semisort the contraction
-      // needs anyway), then drop adjacent duplicates with a scan-pack.
-      parallel::integer_sort_span(pairs, 2 * b, key, scratch_ws);
-      std::span<uint64_t> deduped = scratch_ws.take<uint64_t>(pairs.size());
-      const size_t num_deduped = parallel::emit_pack<uint64_t>(
-          pairs.size(), deduped, scratch_ws,
-          [&](size_t i, parallel::emitter<uint64_t>& em) {
-            if (i == 0 || pairs[i] != pairs[i - 1]) em(pairs[i]);
-          });
-      pairs = deduped.first(num_deduped);
-      sorted = true;
-    } else {
-      // Phase-concurrent insert; the winner of each key emits it, and
-      // emit_pack's block-local staging packs the winners in index order —
-      // no shared cursor, and the compacted array's order depends only on
-      // which duplicate won each insert race (the sort below is total on
-      // the distinct keys, so the final CSR is deterministic regardless).
-      std::span<uint64_t> slots = scratch_ws.take<uint64_t>(
-          parallel::hash_set64_view::slots_needed(pairs.size()));
-      parallel::hash_set64_view set(slots);
-      std::span<uint64_t> deduped = scratch_ws.take<uint64_t>(pairs.size());
-      const size_t num_deduped = parallel::emit_pack<uint64_t>(
-          pairs.size(), deduped, scratch_ws,
-          [&](size_t i, parallel::emitter<uint64_t>& em) {
-            if (set.insert(pairs[i])) em(pairs[i]);
-          });
-      pairs = deduped.first(num_deduped);
-    }
-  }
-
-  if (!sorted) {
-    parallel::integer_sort_span(pairs, 2 * b, key, scratch_ws);
-  }
-
-  const graph::csr_spans csr =
-      graph::from_sorted_pairs_into(k, pairs, graph_ws, scratch_ws);
-  out.offsets = csr.offsets;
-  out.edges = csr.edges;
-  return out;
+  return contract_impl<uint64_t>(wg, {}, cluster, dedup, persist_ws, graph_ws,
+                                 scratch_ws, strategy);
 }
 
 contraction_view contract_into(const ldd::work_graph& wg,
@@ -261,156 +361,8 @@ contraction_view contract_into(const ldd::work_graph& wg,
                                parallel::workspace& graph_ws,
                                parallel::workspace& scratch_ws,
                                dedup_strategy strategy) {
-  const size_t n = wg.n;
-  std::span<const edge_id> V = wg.offsets;
-  std::span<const vertex_id> E = wg.edges;
-  std::span<const vertex_id> D = wg.degrees;
-
-  contraction_view out;
-  parallel::workspace::scope s(scratch_ws);
-  std::span<edge_id> gather_off =
-      contract_prelude(wg, cluster, out, persist_ws, scratch_ws);
-  const edge_id total_kept = out.edges_before_dedup;
-  const size_t k = out.num_vertices;
-
-  // The flattened gather position (base + i) is an edge's deterministic
-  // *gather rank*: it depends only on the CSR layout and the decomposition
-  // labeling, never on scheduling, so "minimum gather rank" is a
-  // scheduler-independent tie-break for witness selection under dedup.
-  //
-  // The folded semisort key, shared by every route below.
-  const int b = parallel::bits_needed(k == 0 ? 1 : k);
-  const uint64_t tmask = b >= 32 ? ~uint32_t{0} : (uint64_t{1} << b) - 1;
-
-  // A gather rank names its original CSR slot through gather_off (an
-  // exclusive scan): the owner is the last v with gather_off[v] <= rank,
-  // and the slot is rank's offset into v's kept prefix. Only the distinct
-  // survivors ever invert, so the binary search cost is negligible.
-  const auto slot_of_rank = [&](uint64_t rank) -> edge_id {
-    const auto it =
-        std::upper_bound(gather_off.begin(), gather_off.end(), rank);
-    const size_t v = static_cast<size_t>(it - gather_off.begin()) - 1;
-    return V[v] + static_cast<edge_id>(rank - gather_off[v]);
-  };
-
-  const dedup_strategy route =
-      !dedup ? dedup_strategy::kSort
-             : (strategy == dedup_strategy::kAuto
-                    ? choose_dedup_route(total_kept, k)
-                    : strategy);
-
-  if (dedup && route == dedup_strategy::kHash && total_kept > 0) {
-    // Hash route: gather PLAIN packed pairs — byte-for-byte the same
-    // traffic as the labels-only overload — and fold each pair's gather
-    // rank into the map with an atomic write_min (deterministic regardless
-    // of arrival order). Witnesses are pulled only for the distinct
-    // survivors, after the sort, through slot_of_rank.
-    out.dedup_route = dedup_strategy_name(route);
-    std::span<uint64_t> pairs = scratch_ws.take<uint64_t>(total_kept);
-    parallel_for(0, n, [&](size_t v) {
-      const vertex_id src = out.new_id[cluster[v]];
-      const edge_id start = V[v];
-      const edge_id base = gather_off[v];
-      for (vertex_id i = 0; i < D[v]; ++i) {
-        const vertex_id tgt = out.new_id[E[start + i]];
-        assert(src != kNoVertex && tgt != kNoVertex && src != tgt);
-        // lint: private-write(v owns the slice [gather_off[v], gather_off[v+1]))
-        pairs[base + i] = (static_cast<uint64_t>(src) << 32) | tgt;
-      }
-    });
-    std::span<uint64_t> map_keys = scratch_ws.take<uint64_t>(
-        parallel::hash_map64_view::slots_needed(pairs.size()));
-    std::span<uint64_t> map_vals = scratch_ws.take<uint64_t>(map_keys.size());
-    parallel::hash_map64_view map(map_keys, map_vals);
-    std::span<uint64_t> deduped = scratch_ws.take<uint64_t>(pairs.size());
-    const size_t num_deduped = parallel::emit_pack<uint64_t>(
-        pairs.size(), deduped, scratch_ws,
-        [&](size_t i, parallel::emitter<uint64_t>& em) {
-          if (map.insert_min(pairs[i], i)) em(pairs[i]);
-        });
-    std::span<uint64_t> kept = deduped.first(num_deduped);
-    const auto key = [b, tmask](uint64_t p) {
-      return ((p >> 32) << b) | (p & tmask);
-    };
-    parallel::integer_sort_span(kept, 2 * b, key, scratch_ws);
-    std::span<uint64_t> owit = graph_ws.take<uint64_t>(kept.size());
-    parallel_for(0, kept.size(), [&](size_t j) {
-      uint64_t rank = ~uint64_t{0};
-      const bool found = map.find(kept[j], &rank);
-      assert(found);
-      (void)found;
-      // lint: private-write(owner index j)
-      owit[j] = witness[slot_of_rank(rank)];
-    });
-    const graph::csr_spans csr =
-        graph::from_sorted_pairs_into(k, kept, graph_ws, scratch_ws);
-    out.offsets = csr.offsets;
-    out.edges = csr.edges;
-    out.edge_witness = owit;
-    return out;
-  }
-
-  // Sort route (and the no-dedup path): the witness must ride along the
-  // radix passes, so the gather carries {pair, witness} records.
-  std::span<witness_pair> wpairs = scratch_ws.take<witness_pair>(total_kept);
-  parallel_for(0, n, [&](size_t v) {
-    const vertex_id src = out.new_id[cluster[v]];
-    const edge_id start = V[v];
-    const edge_id base = gather_off[v];
-    for (vertex_id i = 0; i < D[v]; ++i) {
-      const vertex_id tgt = out.new_id[E[start + i]];
-      assert(src != kNoVertex && tgt != kNoVertex && src != tgt);
-      // lint: private-write(v owns the slice [gather_off[v], gather_off[v+1]))
-      wpairs[base + i] = {(static_cast<uint64_t>(src) << 32) | tgt,
-                         witness[start + i]};
-    }
-  });
-
-  // The sort is keyed on the packed pair only, so equal pairs (dedup
-  // candidates) are adjacent.
-  const auto key = [b, tmask](const witness_pair& wp) {
-    return ((wp.pair >> 32) << b) | (wp.pair & tmask);
-  };
-
-  bool sorted = false;
-  if (dedup && !wpairs.empty()) {
-    out.dedup_route = dedup_strategy_name(route);
-    // The radix sort is stable (LSD), so within a run of equal pairs the
-    // gather order survives; keeping the first of each run selects the
-    // minimum-gather-rank witness.
-    parallel::integer_sort_span(wpairs, 2 * b, key, scratch_ws);
-    std::span<witness_pair> deduped =
-        scratch_ws.take<witness_pair>(wpairs.size());
-    const size_t num_deduped = parallel::emit_pack<witness_pair>(
-        wpairs.size(), deduped, scratch_ws,
-        [&](size_t i, parallel::emitter<witness_pair>& em) {
-          if (i == 0 || wpairs[i].pair != wpairs[i - 1].pair) em(wpairs[i]);
-        });
-    wpairs = deduped.first(num_deduped);
-    sorted = true;
-  }
-
-  if (!sorted) {
-    parallel::integer_sort_span(wpairs, 2 * b, key, scratch_ws);
-  }
-
-  // Split the sorted array: packed pairs feed the CSR build (temporary),
-  // witnesses go to graph_ws so they live exactly as long as the contracted
-  // CSR they parallel. from_sorted_pairs_into preserves slot order
-  // (edges[i] comes from sorted[i]), so owit stays parallel to out.edges.
-  std::span<uint64_t> sorted_pairs = scratch_ws.take<uint64_t>(wpairs.size());
-  std::span<uint64_t> owit = graph_ws.take<uint64_t>(wpairs.size());
-  parallel_for(0, wpairs.size(), [&](size_t i) {
-    sorted_pairs[i] = wpairs[i].pair;  // lint: private-write(owner index i)
-    owit[i] = wpairs[i].witness;       // lint: private-write(owner index i)
-  });
-
-  const graph::csr_spans csr =
-      graph::from_sorted_pairs_into(k, sorted_pairs, graph_ws, scratch_ws);
-  out.offsets = csr.offsets;
-  out.edges = csr.edges;
-  out.edge_witness = owit;
-  return out;
+  return contract_impl<witness_pair>(wg, witness, cluster, dedup, persist_ws,
+                                     graph_ws, scratch_ws, strategy);
 }
 
 contraction contract(const ldd::work_graph& wg, const ldd::result& dec,

@@ -18,6 +18,20 @@
 // filterEdges are edge-balanced via frontier_edge_for, so hub vertices are
 // split across chunks and the next frontier is emitted without a shared
 // cursor.
+//
+// One body serves two modes. The labels mode (the public
+// decomp_arb_hybrid_into) claims with a CAS on first arrival. The witness
+// mode (internal::decomp_arb_hybrid_into, behind cc_engine::run_forest)
+// runs over a level graph whose every edge slot carries a witness (the
+// original-graph edge that realizes it), moves witnesses alongside the kept
+// edges, and appends each claim edge's witness to the spanning forest.
+// Unlike the labels mode, whose CAS races are benign because ANY claimer
+// yields correct components, a forest edge's identity depends on WHICH
+// claim wins, so the witness mode resolves claims deterministically and the
+// forest is a pure function of (graph, options), identical across worker
+// counts and scheduler backends.
+
+#include <type_traits>
 
 #include "core/ldd.hpp"
 #include "core/ldd_internal.hpp"
@@ -28,15 +42,32 @@ namespace pcc::ldd {
 
 namespace {
 using parallel::atomic_load;
+using parallel::atomic_store;
 using parallel::cas;
 using parallel::parallel_for;
 using parallel::timer;
-}  // namespace
 
-decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
-                                   std::span<vertex_id> cluster,
-                                   parallel::workspace& ws,
-                                   parallel::phase_timer* pt) {
+// A resolved claim from one witness-mode BFS round: the claimed vertex
+// (joins the next frontier) and the witness of the claiming edge (joins
+// the forest).
+struct claim_rec {
+  vertex_id w;
+  uint64_t witness;
+};
+
+// Witness mode: `witness` parallels wg.edges and is compacted alongside it;
+// claim witnesses are appended to `forest` at `forest_count`, which is
+// advanced. `identity_witness` (level 0 of the engine): incoming slots
+// carry no stored witness — the witness of slot (v, j) IS pack(v,
+// raw_target) — so `witness` is only written, and only for slots that
+// survive compaction. The labels mode passes empty spans and never touches
+// them.
+template <bool kWitness>
+decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
+                        bool identity_witness, const options& opt,
+                        std::span<vertex_id> cluster,
+                        std::span<uint64_t> forest, size_t& forest_count,
+                        parallel::workspace& ws, parallel::phase_timer* pt) {
   const size_t n = wg.n;
   decomp_info res;
   if (n == 0) return res;
@@ -45,6 +76,11 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
   std::span<vertex_id> D = wg.degrees;
   std::span<vertex_id> C = cluster;
   parallel_for(0, n, [&](size_t v) { C[v] = kNoVertex; });
+  // The witness of edge slot `slot` = (v, w) before any compaction moved
+  // it (witness mode only).
+  const auto slot_witness = [&](vertex_id v, vertex_id w, edge_id slot) {
+    return identity_witness ? internal::pack_witness(v, w) : witness[slot];
+  };
 
   timer t;
   parallel::workspace::scope outer(ws);
@@ -67,6 +103,24 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
   bool have_unvisited = false;
   const size_t dense_cutoff = static_cast<size_t>(
       opt.dense_threshold * static_cast<double>(n));
+  // Sparse rounds emit the claimed vertices straight into `next`, or, in
+  // witness mode, claim records into `claims` (one round can claim up to
+  // n vertices). claim[] holds the proposal ranks and dense_wit the witness
+  // each vertex was pulled through. At one worker the witness mode claims
+  // on first arrival and needs no ranks (see the sparse round).
+  const bool serial = parallel::num_workers() <= 1;
+  using claim_t = std::conditional_t<kWitness, claim_rec, vertex_id>;
+  std::span<claim_rec> claims;
+  std::span<uint64_t> claim;
+  std::span<uint64_t> dense_wit;
+  if constexpr (kWitness) {
+    claims = ws.take<claim_rec>(n);
+    // ~0 is the write_min identity; initialized once (no reset across
+    // rounds: claim[w] is only consulted while C[w] is unvisited, and a
+    // vertex is claimed at most once).
+    if (!serial) claim = ws.take_filled<uint64_t>(n, ~uint64_t{0});
+    dense_wit = ws.take<uint64_t>(n);
+  }
   if (pt != nullptr) pt->add("init", t.lap());
 
   size_t num_visited = 0;
@@ -83,7 +137,9 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
     if (pt != nullptr) pt->add("bfsPre", t.lap());
 
     if (frontier_size > dense_cutoff) {
-      // Read-based (dense) round.
+      // Read-based (dense) round. In witness mode the frontier size is
+      // deterministic, so the dense/sparse schedule replays identically
+      // across runs, worker counts and backends.
       ++res.num_dense_rounds;
       // Refresh the unvisited list: drop everything claimed since the last
       // dense round (sparse-round claims, new centers). C is stable here,
@@ -113,7 +169,11 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
       });
       // Pull: only the still-unvisited vertices scan for a frontier
       // neighbour (the early exit keeps hub scans short, so this loop
-      // stays at vertex granularity).
+      // stays at vertex granularity). v adopts the FIRST frontier
+      // neighbour in slot order — a private write and a pure function of
+      // the previous round's state, so the witness mode is deterministic
+      // here for free. v is unvisited, so its adjacency (and witness
+      // slice) is still raw: slot j's witness IS the edge that claimed v.
       parallel_for(0, unvisited_size, [&](size_t i) {
         const vertex_id v = unvisited[i];
         const edge_id start = V[v];
@@ -124,6 +184,10 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
             // C[u] is stable: frontier labels were fixed before this phase.
             // lint: private-write(unvisited holds distinct vertex ids)
             C[v] = C[u];
+            if constexpr (kWitness) {
+              // lint: private-write(same owner invariant)
+              dense_wit[v] = slot_witness(v, u, start + j);
+            }
             break;  // direction-optimization early exit
           }
         }
@@ -141,19 +205,72 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
             if (C[v] == kNoVertex) em(v);
           });
       std::swap(unvisited, unvisited_next);
+      if constexpr (kWitness) {
+        parallel_for(0, gathered, [&](size_t i) {
+          // lint: private-write(iteration i owns slot forest_count + i)
+          forest[forest_count + i] = dense_wit[next[i]];
+        });
+        forest_count += gathered;
+      }
       std::swap(frontier, next);
       frontier_size = gathered;
       if (pt != nullptr) pt->add("bfsDense", t.lap());
     } else {
       // Write-based (sparse) round: identical to Decomp-Arb, except kept
       // edges carry the mark bit recording "already relabeled".
+      //
+      // The witness mode resolves claims in two phases per round:
+      //   A (propose) — every frontier edge (fi, i) -> w with C[w] still
+      //     unvisited folds its rank (fi << 32 | i) into claim[w] with an
+      //     atomic write_min. C is not written, so the racy reads are
+      //     stable.
+      //   B (resolve) — the edge whose rank equals claim[w] claims w
+      //     (atomic store of its label) and emits the claim; every other
+      //     edge resolves w's label deterministically: if it reads the
+      //     winner's store it uses that, otherwise it computes the same
+      //     value as C[frontier[claim[w] >> 32]] (claim[w] is stable after
+      //     phase A, and frontier labels predate the round). Both sides of
+      //     that race yield the identical label, so the kept/dropped
+      //     decision and the compacted adjacency are deterministic.
+      // At one worker, phase A is skipped and phase B claims on first
+      // arrival: the serial traversal meets edges in flattened order, so
+      // the first proposer IS the minimum rank and the outcome matches the
+      // two-phase protocol exactly.
       parallel::workspace::scope round_scope(ws);
+      const auto deg_of = [&](size_t fi) { return D[frontier[fi]]; };
+      if constexpr (kWitness) {
+        if (!serial) {
+          // Phase A: no writes to C, no compaction — partial pieces need
+          // no stitching.
+          parallel::frontier_edge_for(
+              frontier_size, deg_of, ws,
+              [&](size_t fi, uint32_t jlo, uint32_t jhi,
+                  uint32_t) -> uint32_t {
+                const vertex_id v = frontier[fi];
+                const edge_id start = V[v];
+                for (uint32_t i = jlo; i < jhi; ++i) {
+                  const vertex_id w = E[start + i];
+                  if (atomic_load(&C[w]) == kNoVertex) {
+                    parallel::write_min(
+                        &claim[w], (static_cast<uint64_t>(fi) << 32) | i);
+                  }
+                }
+                return 0;
+              });
+        }
+      }
+      const std::span<claim_t> sink = [&] {
+        if constexpr (kWitness) {
+          return claims;
+        } else {
+          return next;
+        }
+      }();
       const parallel::frontier_result run =
-          parallel::frontier_edge_for<vertex_id>(
-              frontier_size, [&](size_t fi) { return D[frontier[fi]]; }, next,
-              ws,
+          parallel::frontier_edge_for<claim_t>(
+              frontier_size, deg_of, sink, ws,
               [&](size_t fi, uint32_t jlo, uint32_t jhi, uint32_t deg,
-                  parallel::emitter<vertex_id>& em) -> uint32_t {
+                  parallel::emitter<claim_t>& em) -> uint32_t {
                 const vertex_id v = frontier[fi];
                 // Local raw pointers: the CAS is a compiler barrier that
                 // forces captured spans to be re-read every edge; a
@@ -165,16 +282,38 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
                 uint32_t k = jlo;
                 for (uint32_t i = jlo; i < jhi; ++i) {
                   const vertex_id w = ed[start + i];
-                  if (atomic_load(&cl[w]) == kNoVertex &&
-                      cas(&cl[w], kNoVertex, my_label)) {
-                    em(w);
-                  } else {
-                    const vertex_id w_label = atomic_load(&cl[w]);
-                    if (w_label != my_label) {
-                      // lint: private-write(piece owns slots [jlo, jhi) of v)
-                      ed[start + k] = internal::mark_edge(w_label);
-                      ++k;
+                  vertex_id w_label;
+                  if constexpr (kWitness) {
+                    w_label = atomic_load(&cl[w]);
+                    if (w_label == kNoVertex) {
+                      const uint64_t rank =
+                          (static_cast<uint64_t>(fi) << 32) | i;
+                      if (serial || claim[w] == rank) {
+                        // Rank winner: claim w; the claim edge's witness
+                        // joins the forest.
+                        atomic_store(&cl[w], my_label);
+                        em({w, slot_witness(v, w, start + i)});
+                        continue;
+                      }
+                      // Loser: the winner's label, from stable data.
+                      w_label = cl[frontier[claim[w] >> 32]];
                     }
+                  } else {
+                    if (atomic_load(&cl[w]) == kNoVertex &&
+                        cas(&cl[w], kNoVertex, my_label)) {
+                      em(w);
+                      continue;
+                    }
+                    w_label = atomic_load(&cl[w]);
+                  }
+                  if (w_label != my_label) {
+                    // lint: private-write(piece owns slots [jlo, jhi) of v)
+                    ed[start + k] = internal::mark_edge(w_label);
+                    if constexpr (kWitness) {
+                      // lint: private-write(same piece-subrange invariant)
+                      witness[start + k] = slot_witness(v, w, start + i);
+                    }
+                    ++k;
                   }
                 }
                 if (jlo == 0 && jhi == deg) {
@@ -191,6 +330,12 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
             // lint: private-write(leader task owns entry fi's CSR slice)
             std::copy(E.begin() + start + src, E.begin() + start + src + len,
                       E.begin() + start + dst);
+            if constexpr (kWitness) {
+              // lint: private-write(same leader-owned slice, witness array)
+              std::copy(witness.begin() + start + src,
+                        witness.begin() + start + src + len,
+                        witness.begin() + start + dst);
+            }
           },
           [&](uint32_t fi, uint32_t kept) {
             const vertex_id v = frontier[fi];
@@ -198,6 +343,15 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
             D[v] = kept;
             resolved[v] = 1;  // lint: private-write(same owner invariant)
           });
+      if constexpr (kWitness) {
+        parallel_for(0, run.emitted, [&](size_t i) {
+          // lint: private-write(iteration i owns slot i of both outputs)
+          next[i] = claims[i].w;
+          // lint: private-write(iteration i owns slot forest_count + i)
+          forest[forest_count + i] = claims[i].witness;
+        });
+        forest_count += run.emitted;
+      }
       std::swap(frontier, next);
       frontier_size = run.emitted;
       if (pt != nullptr) pt->add("bfsSparse", t.lap());
@@ -205,11 +359,12 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
     ++round;
   }
 
-  // filterEdges: resolve the adjacency of every vertex that was never
-  // processed write-based (it was visited in a dense round, or its round's
-  // write pass was skipped entirely), then clear the mark bits everywhere.
-  // Edge-balanced like the rounds themselves: an unresolved hub's scan is
-  // split across chunks instead of serializing the pass.
+  // filterEdges: resolve the adjacency (and witness slice) of every vertex
+  // that was never processed write-based (it was visited in a dense round,
+  // or its round's write pass was skipped entirely), then clear the mark
+  // bits everywhere. Edge-balanced like the rounds themselves: an
+  // unresolved hub's scan is split across chunks instead of serializing
+  // the pass.
   t.start();
   {
     parallel::workspace::scope filter_scope(ws);
@@ -235,6 +390,10 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
             if (w_label != my_label) {
               // lint: private-write(piece owns slots [jlo, jhi) of v)
               E[start + k] = w_label;
+              if constexpr (kWitness) {
+                // lint: private-write(same piece-subrange invariant)
+                witness[start + k] = slot_witness(v, w, start + i);
+              }
               ++k;
             }
           }
@@ -251,6 +410,12 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
           // lint: private-write(leader task owns entry vi's CSR slice)
           std::copy(E.begin() + start + src, E.begin() + start + src + len,
                     E.begin() + start + dst);
+          if constexpr (kWitness) {
+            // lint: private-write(same leader-owned slice, witness array)
+            std::copy(witness.begin() + start + src,
+                      witness.begin() + start + src + len,
+                      witness.begin() + start + dst);
+          }
         },
         [&](uint32_t vi, uint32_t kept) {
           // lint: private-write(one leader task per split vertex)
@@ -264,6 +429,32 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
       n, [&](size_t v) { return D[v]; }, ws);
   return res;
 }
+
+}  // namespace
+
+decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
+                                   std::span<vertex_id> cluster,
+                                   parallel::workspace& ws,
+                                   parallel::phase_timer* pt) {
+  size_t no_forest = 0;
+  return hybrid_into<false>(wg, {}, false, opt, cluster, {}, no_forest, ws,
+                            pt);
+}
+
+namespace internal {
+
+decomp_info decomp_arb_hybrid_into(work_graph& wg, std::span<uint64_t> witness,
+                                   bool identity_witness, const options& opt,
+                                   std::span<vertex_id> cluster,
+                                   std::span<uint64_t> forest,
+                                   size_t& forest_count,
+                                   parallel::workspace& ws,
+                                   parallel::phase_timer* pt) {
+  return hybrid_into<true>(wg, witness, identity_witness, opt, cluster, forest,
+                           forest_count, ws, pt);
+}
+
+}  // namespace internal
 
 result decomp_arb_hybrid(work_graph& wg, const options& opt,
                          parallel::phase_timer* pt) {

@@ -1,5 +1,5 @@
 // Shared internals of the decomposition variants: the shift-value schedule,
-// the edge-marking helpers, and the witness-carrying decomposition the
+// the edge-marking helpers, and the witness mode of Decomp-Arb-Hybrid the
 // engine's forest mode runs. Not part of the public API.
 #pragma once
 
@@ -189,22 +189,23 @@ inline graph::edge unpack_witness(uint64_t w) {
   return {static_cast<vertex_id>(w >> 32), static_cast<vertex_id>(w)};
 }
 
-// Deterministic direction-optimizing Decomp-Arb over a level graph with
-// witnesses (decomp_arb_sf.cpp). `witness` parallels wg.edges; both are
-// compacted in place (targets relabeled to cluster ids), so the
-// post-decomposition state satisfies the witness contract_into overload's
-// invariant. Claim witnesses are appended to `forest` at forest_count,
-// which is advanced.
+// The witness mode of Decomp-Arb-Hybrid (decomp_arb_hybrid.cpp), behind
+// cc_engine::run_forest. `witness` parallels wg.edges; both are compacted
+// in place (targets relabeled to cluster ids), so the post-decomposition
+// state satisfies the witness contract_into overload's invariant. Claims
+// are resolved deterministically, and their witnesses are appended to
+// `forest` at forest_count, which is advanced.
 // `identity_witness` (level 0 of the engine): incoming edge slots carry no
 // stored witness — the witness of slot (v, j) IS pack(v, raw_target) — so
 // the initial m-slot stamping sweep is skipped and `witness` is written
 // only for slots that survive compaction (exactly what contract reads).
-decomp_info decomp_arb_sf_into(work_graph& wg, std::span<uint64_t> witness,
-                               bool identity_witness, const options& opt,
-                               std::span<vertex_id> cluster,
-                               std::span<uint64_t> forest,
-                               size_t& forest_count, parallel::workspace& ws,
-                               parallel::phase_timer* pt);
+decomp_info decomp_arb_hybrid_into(work_graph& wg, std::span<uint64_t> witness,
+                                   bool identity_witness, const options& opt,
+                                   std::span<vertex_id> cluster,
+                                   std::span<uint64_t> forest,
+                                   size_t& forest_count,
+                                   parallel::workspace& ws,
+                                   parallel::phase_timer* pt);
 
 // Assemble the vector-returning `result` the public wrappers expose from a
 // span-based core's outputs.

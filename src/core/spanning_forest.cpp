@@ -1,5 +1,6 @@
 // One-shot wrapper over the engine's forest mode (see core/cc_engine.cpp
-// for the level loop and core/decomp_arb_sf.cpp for the decomposition).
+// for the level loop and the witness mode of core/decomp_arb_hybrid.cpp for
+// the decomposition).
 
 #include "core/spanning_forest.hpp"
 

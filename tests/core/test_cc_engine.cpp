@@ -380,5 +380,67 @@ TEST(CcEngine, AlternatingLabelsAndForestRunsAreAllocationFree) {
   }
 }
 
+// FNV-1a over 32-bit words: a compact fingerprint of an answer.
+uint64_t fnv1a(uint64_t h, uint32_t x) {
+  for (int b = 0; b < 4; ++b) {
+    h = (h ^ ((x >> (8 * b)) & 0xff)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+uint64_t digest(const cc::cc_engine::forest_result& r) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const vertex_id l : r.labels) h = fnv1a(h, l);
+  for (const auto& [u, v] : r.forest) h = fnv1a(fnv1a(h, u), v);
+  return h;
+}
+
+TEST(CcEngine, OutputsMatchPinnedDigests) {
+  // Both engine modes are deterministic at fixed options: run_forest at any
+  // worker count, run() at one worker. Their answers on a small corpus are
+  // pinned as digests, so a refactor of the decomposition or contraction
+  // that changes any label, forest edge or forest order fails here. Every
+  // dedup route must give the one pinned forest (they promise the same
+  // witness), and a low dense threshold pins the witness-carrying pull
+  // rounds.
+  const struct {
+    const char* name;
+    graph::graph g;
+    uint64_t forest, forest_dense, labels_1t;
+  } cases[] = {
+      {"rmat", graph::rmat_graph(8192, 40000, 29),
+       0x7b9e677012856f63ull, 0x614fecff05d7db20ull, 0x0a6606b7f6fc5335ull},
+      {"random_multi", graph::random_graph(8000, 2, 5),
+       0x57eccebaad7c27f5ull, 0xfebc8b7f05613f6dull, 0xf97416f5824ad325ull},
+      {"line", graph::line_graph(20000, true, 3),
+       0x70b9d83a1a199cd3ull, 0x3b95db2b41a5a817ull, 0x4b7ecfe39eaa5665ull},
+      {"grid3d", graph::grid3d_graph(4096, true, 5),
+       0x0023aba019df08c6ull, 0xab954228c7138ebcull, 0x4bb9f56a921a2325ull},
+      {"cliques_bridged", graph::cliques_with_bridges(40, 12),
+       0x14e1e6b499fb3aaeull, 0xcefafe6becba5c14ull, 0x3147b1e057f2f925ull},
+  };
+  cc_options opt;
+  opt.seed = 12345;
+  cc_options dense_opt = opt;
+  dense_opt.dense_threshold = 0.02;
+  cc_options labels_opt = opt;
+  labels_opt.variant = decomp_variant::kArbHybrid;
+  for (const auto& c : cases) {
+    cc::cc_engine engine;
+    for (auto route : {cc::dedup_strategy::kAuto, cc::dedup_strategy::kHash,
+                       cc::dedup_strategy::kSort}) {
+      cc_options route_opt = opt;
+      route_opt.dedup_route = route;
+      EXPECT_EQ(digest(engine.run_forest(c.g, route_opt)), c.forest)
+          << c.name << " route " << cc::dedup_strategy_name(route);
+    }
+    EXPECT_EQ(digest(engine.run_forest(c.g, dense_opt)), c.forest_dense)
+        << c.name;
+    parallel::scoped_workers one(1);
+    EXPECT_EQ(digest({engine.run(c.g, labels_opt), {}}), c.labels_1t)
+        << c.name;
+  }
+}
+
 }  // namespace
 }  // namespace pcc

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/contract.hpp"
 #include "graph/generators.hpp"
@@ -263,6 +266,89 @@ TEST(Contract, WorksAfterEachDecompositionVariant) {
               graph::count_components(con.contracted) +
                   con.num_singleton_clusters)
         << "variant " << variant;
+  }
+}
+
+TEST(Contract, WitnessOverloadMatchesLabelsAndKeepsMinRankWitness) {
+  // The witness overload must build the labels-only overload's CSR, and on
+  // both dedup routes keep, per contracted pair, the witness of the kept
+  // edge at the minimum gather rank (flattened CSR position) — so kHash
+  // and kSort give the same edge_witness. Each slot's witness here is the
+  // slot index itself, so the expected survivor is easy to compute.
+  for (const graph::graph& g :
+       {graph::grid3d_graph(4096, true, 5), graph::grid2d_graph(100, 50)}) {
+    work_graph wg = work_graph::from(g);
+    ldd::options opt;
+    opt.beta = 0.5;
+    const ldd::result dec = ldd::decomp_arb_hybrid(wg, opt, nullptr);
+    ASSERT_GT(dec.edges_kept, 0u);
+    std::vector<uint64_t> witness(wg.edges.size());
+    for (size_t e = 0; e < witness.size(); ++e) witness[e] = e;
+
+    struct answer {
+      std::vector<edge_id> offsets;
+      std::vector<vertex_id> edges;
+      std::vector<uint64_t> edge_witness;
+      std::vector<vertex_id> new_id;
+      std::string route;
+    };
+    const auto run = [&](bool with_witness, bool dedup,
+                         cc::dedup_strategy s) {
+      parallel::workspace persist_ws, graph_ws, scratch_ws;
+      const cc::contraction_view cv =
+          with_witness
+              ? cc::contract_into(wg, witness, dec.cluster, dedup, persist_ws,
+                                  graph_ws, scratch_ws, s)
+              : cc::contract_into(wg, dec.cluster, dedup, persist_ws,
+                                  graph_ws, scratch_ws, s);
+      return answer{{cv.offsets.begin(), cv.offsets.end()},
+                    {cv.edges.begin(), cv.edges.end()},
+                    {cv.edge_witness.begin(), cv.edge_witness.end()},
+                    {cv.new_id.begin(), cv.new_id.end()},
+                    cv.dedup_route};
+    };
+
+    for (bool dedup : {false, true}) {
+      for (auto s : {cc::dedup_strategy::kHash, cc::dedup_strategy::kSort}) {
+        const answer labels = run(false, dedup, s);
+        const answer wit = run(true, dedup, s);
+        const std::string what = std::string("dedup=") +
+                                 (dedup ? "on" : "off") + " route=" +
+                                 cc::dedup_strategy_name(s);
+        EXPECT_EQ(wit.offsets, labels.offsets) << what;
+        EXPECT_EQ(wit.edges, labels.edges) << what;
+        EXPECT_EQ(wit.route, labels.route) << what;
+        EXPECT_TRUE(labels.edge_witness.empty()) << what;
+        ASSERT_EQ(wit.edge_witness.size(), wit.edges.size()) << what;
+        if (!dedup) continue;
+        // Minimum gather rank per contracted pair: the first kept slot in
+        // flattened CSR order.
+        std::map<std::pair<vertex_id, vertex_id>, uint64_t> first_slot;
+        for (size_t v = 0; v < wg.n; ++v) {
+          const vertex_id src = wit.new_id[dec.cluster[v]];
+          for (vertex_id i = 0; i < wg.degrees[v]; ++i) {
+            const edge_id slot = wg.offsets[v] + i;
+            first_slot.insert({{src, wit.new_id[wg.edges[slot]]}, slot});
+          }
+        }
+        ASSERT_EQ(first_slot.size(), wit.edges.size()) << what;
+        ASSERT_LT(wit.edges.size(), dec.edges_kept) << what << ": no dups";
+        for (size_t x = 0; x + 1 < wit.offsets.size(); ++x) {
+          for (edge_id j = wit.offsets[x]; j < wit.offsets[x + 1]; ++j) {
+            const auto it = first_slot.find(
+                {static_cast<vertex_id>(x), wit.edges[j]});
+            ASSERT_NE(it, first_slot.end()) << what;
+            EXPECT_EQ(wit.edge_witness[j], it->second)
+                << what << " slot " << j;
+          }
+        }
+      }
+    }
+    const answer hash = run(true, true, cc::dedup_strategy::kHash);
+    const answer sort = run(true, true, cc::dedup_strategy::kSort);
+    EXPECT_EQ(hash.route, "hash");
+    EXPECT_EQ(sort.route, "sort");
+    EXPECT_EQ(hash.edge_witness, sort.edge_witness);
   }
 }
 

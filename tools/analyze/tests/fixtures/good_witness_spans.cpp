@@ -1,9 +1,10 @@
 // Negative fixtures for the shared-write check on witness spans: the
-// disciplined store shapes of the spanning-forest decomposition
-// (src/core/decomp_arb_sf.cpp). A forest edge's identity depends on WHICH
-// claim wins, so the pipeline resolves targets with a two-phase protocol
-// and keeps every witness write either owner-indexed, behind the atomics
-// vocabulary, or under a stated disjointness invariant.
+// disciplined store shapes of the spanning-forest decomposition (the
+// witness mode of src/core/decomp_arb_hybrid.cpp). A forest edge's
+// identity depends on WHICH claim wins, so the pipeline resolves targets
+// with a two-phase protocol and keeps every witness write either
+// owner-indexed, behind the atomics vocabulary, or under a stated
+// disjointness invariant.
 #include "prelude.hpp"
 
 // Phase A of the claim protocol: propose the minimum rank per target.

@@ -74,11 +74,11 @@ class SharedWriteTests(unittest.TestCase):
 
 
 class WitnessSpanTests(unittest.TestCase):
-    """Witness-span discipline (src/core/decomp_arb_sf.cpp): a forest edge's
-    identity depends on WHICH claim wins, so witness stores must be
-    owner-indexed, atomic (the two-phase claim's write_min), or carry a
-    validated private-write invariant. The fixtures mirror the pipeline's
-    real store shapes."""
+    """Witness-span discipline (the witness mode of
+    src/core/decomp_arb_hybrid.cpp): a forest edge's identity depends on
+    WHICH claim wins, so witness stores must be owner-indexed, atomic (the
+    two-phase claim's write_min), or carry a validated private-write
+    invariant. The fixtures mirror the pipeline's real store shapes."""
 
     def test_positive_fixture(self):
         findings = active(analyze("bad_witness_spans.cpp"))

@@ -44,9 +44,10 @@ const char* kind_name(uint64_t kind) {
   return names[kind % 7];
 }
 
-// Options for one registry entry in one trial. The decomp-* entries sweep
-// their pipeline knobs off the seed so the fuzzer exercises the whole
-// configuration space, not just the defaults.
+// Options for one registry entry in one trial (the forest check below uses
+// the spanning-forest entry's). The decomp-* and spanning-forest entries
+// sweep their pipeline knobs off the seed so the fuzzer exercises the
+// whole configuration space, not just the defaults.
 cc::cc_options options_for(std::string_view name, uint64_t s) {
   cc::cc_options o;
   o.seed = s;
@@ -59,6 +60,17 @@ cc::cc_options options_for(std::string_view name, uint64_t s) {
     o.shifts = s % 2 != 0 ? ldd::shift_mode::kExponentialShifts
                           : ldd::shift_mode::kPermutationChunks;
     o.dense_threshold = 0.05 + (s % 5) * 0.1;
+  } else if (name == "spanning-forest") {
+    // Threshold 0 makes every round dense (witnesses captured by pulls);
+    // the dedup routes each pick survivors their own way.
+    o.dense_threshold = (s % 5) * 0.1;
+    o.dedup = (s >> 3) % 4 != 0;
+    const cc::dedup_strategy routes[] = {cc::dedup_strategy::kAuto,
+                                         cc::dedup_strategy::kHash,
+                                         cc::dedup_strategy::kSort};
+    o.dedup_route = routes[(s >> 5) % 3];
+    o.shifts = (s >> 7) % 2 != 0 ? ldd::shift_mode::kExponentialShifts
+                                 : ldd::shift_mode::kPermutationChunks;
   }
   return o;
 }
@@ -100,9 +112,8 @@ int main(int argc, char** argv) try {
 
     // Spanning forest: exact size, acyclicity, and every edge a real edge
     // of the input graph (the witness pullback must never invent edges).
-    cc::cc_options sopt;
-    sopt.seed = seed;
-    const auto forest = cc::spanning_forest(g, sopt);
+    const auto forest =
+        cc::spanning_forest(g, options_for("spanning-forest", seed));
     size_t comps = 0;
     for (size_t v = 0; v < oracle.size(); ++v) comps += oracle[v] == v ? 1 : 0;
     if (forest.size() != g.num_vertices() - comps) {
