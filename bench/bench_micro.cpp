@@ -194,22 +194,55 @@ void BM_ConnectedComponentsEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_ConnectedComponentsEndToEnd)->Arg(1 << 14)->Arg(1 << 17);
 
-// Same query through a warm cc_engine: the delta against EndToEnd is the
-// per-query allocation/faulting cost the engine eliminates.
-void BM_CcEngineWarmRun(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const graph::graph g = graph::random_graph(n, 5, 5);
+// Queries through a warm cc_engine, labels only or labels + forest. Two
+// runs before timing warm the arenas (the second consolidates them).
+void warm_engine_run(benchmark::State& state, const graph::graph& g,
+                     bool forest) {
   const cc::cc_options opt;
   cc::cc_engine engine;
-  engine.run(g, opt);
-  engine.run(g, opt);  // second run consolidates the arenas
+  for (int warm = 0; warm < 2; ++warm) {
+    if (forest) {
+      engine.run_forest(g, opt);
+    } else {
+      engine.run(g, opt);
+    }
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(g, opt).data());
+    if (forest) {
+      benchmark::DoNotOptimize(engine.run_forest(g, opt).labels.data());
+    } else {
+      benchmark::DoNotOptimize(engine.run(g, opt).data());
+    }
   }
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations() * g.num_edges()));
 }
+
+// Line graphs, the shape whose sparse rounds are latency-bound: with
+// natural ids a vertex's neighbours share its cache lines, with shuffled
+// ids every neighbour is a miss.
+graph::graph line_of(const benchmark::State& state, bool shuffled) {
+  return graph::line_graph(static_cast<size_t>(state.range(0)), shuffled,
+                           /*seed=*/5);
+}
+
+// Same query through a warm cc_engine: the delta against EndToEnd is the
+// per-query allocation/faulting cost the engine eliminates.
+void BM_CcEngineWarmRun(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  warm_engine_run(state, graph::random_graph(n, 5, 5), /*forest=*/false);
+}
 BENCHMARK(BM_CcEngineWarmRun)->Arg(1 << 14)->Arg(1 << 17);
+
+void BM_CcEngineWarmRunLine(benchmark::State& state) {
+  warm_engine_run(state, line_of(state, false), /*forest=*/false);
+}
+BENCHMARK(BM_CcEngineWarmRunLine)->Arg(1 << 21);
+
+void BM_CcEngineWarmRunLineShuffled(benchmark::State& state) {
+  warm_engine_run(state, line_of(state, true), /*forest=*/false);
+}
+BENCHMARK(BM_CcEngineWarmRunLineShuffled)->Arg(1 << 21);
 
 void BM_SampleSort(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -251,23 +284,24 @@ void BM_SpanningForest(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanningForest)->Arg(1 << 14)->Arg(1 << 17);
 
-// Labels + forest through a warm engine's run_forest, on the SAME graph as
-// BM_CcEngineWarmRun: the pair is the cost of carrying witnesses through
-// the pipeline (acceptance target: within 1.2x of labels-only).
+// Labels + forest through a warm engine's run_forest, on the SAME graphs as
+// the BM_CcEngineWarmRun* rows: the pair is the cost of carrying witnesses
+// through the pipeline (acceptance target: within 1.2x of labels-only).
 void BM_SfEngineWarmRun(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const graph::graph g = graph::random_graph(n, 5, 5);
-  const cc::cc_options opt;
-  cc::cc_engine engine;
-  engine.run_forest(g, opt);
-  engine.run_forest(g, opt);  // second run consolidates the arenas
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run_forest(g, opt).labels.data());
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * g.num_edges()));
+  warm_engine_run(state, graph::random_graph(n, 5, 5), /*forest=*/true);
 }
 BENCHMARK(BM_SfEngineWarmRun)->Arg(1 << 14)->Arg(1 << 17);
+
+void BM_SfEngineWarmRunLine(benchmark::State& state) {
+  warm_engine_run(state, line_of(state, false), /*forest=*/true);
+}
+BENCHMARK(BM_SfEngineWarmRunLine)->Arg(1 << 21);
+
+void BM_SfEngineWarmRunLineShuffled(benchmark::State& state) {
+  warm_engine_run(state, line_of(state, true), /*forest=*/true);
+}
+BENCHMARK(BM_SfEngineWarmRunLineShuffled)->Arg(1 << 21);
 
 // Console output as usual, plus a per-benchmark collection of the
 // individual repetition times so the JSON summary can report median + min

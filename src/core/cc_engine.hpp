@@ -27,7 +27,7 @@
 // consolidate to their high-water mark); after that, a run performs no
 // heap allocation — the property the repeated-query benchmarks and
 // tools/pcc_components --repeat rely on, and which
-// tests/core/test_cc_engine.cpp and test_sf_engine.cpp verify with an
+// tests/core/test_cc_engine.cpp and test_cc_engine_forest.cpp verify with an
 // operator-new counting hook.
 #pragma once
 

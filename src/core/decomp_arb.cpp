@@ -71,6 +71,10 @@ decomp_info decomp_arb_into(work_graph& wg, const options& opt,
     // 9-20). Each piece claims/relabels its slots and compacts the kept
     // edges to the front of its own subrange.
     parallel::workspace::scope round_scope(ws);
+    // Look-ahead: a frontier vertex's V, D and C lines, then its first
+    // edge line (see parallel::csr_lookahead).
+    const parallel::csr_lookahead ahead(frontier, V, E.data(), D.data(),
+                                        C.data());
     const parallel::frontier_result run =
         parallel::frontier_edge_for<vertex_id>(
             frontier_size, [&](size_t fi) { return D[frontier[fi]]; }, next,
@@ -107,7 +111,8 @@ decomp_info decomp_arb_into(work_graph& wg, const options& opt,
                 D[v] = k;
               }
               return k - jlo;
-            });
+            },
+            {}, ahead);
     parallel::fix_split_pieces(
         run.partials,
         [&](uint32_t fi, uint32_t dst, uint32_t src, uint32_t len) {

@@ -238,10 +238,14 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
       // two-phase protocol exactly.
       parallel::workspace::scope round_scope(ws);
       const auto deg_of = [&](size_t fi) { return D[frontier[fi]]; };
+      // Look-ahead for the round's dependent misses: a frontier vertex's
+      // V, D, C and resolved lines, then its first edge line.
+      const parallel::csr_lookahead ahead(frontier, V, E.data(), D.data(),
+                                          C.data(), resolved.data());
       if constexpr (kWitness) {
         if (!serial) {
           // Phase A: no writes to C, no compaction — partial pieces need
-          // no stitching.
+          // no stitching. It reads only V and the edges per vertex.
           parallel::frontier_edge_for(
               frontier_size, deg_of, ws,
               [&](size_t fi, uint32_t jlo, uint32_t jhi,
@@ -256,7 +260,8 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
                   }
                 }
                 return 0;
-              });
+              },
+              {}, parallel::csr_lookahead(frontier, V, E.data()));
         }
       }
       const std::span<claim_t> sink = [&] {
@@ -322,7 +327,8 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
                   resolved[v] = 1;  // lint: private-write(same owner)
                 }
                 return k - jlo;
-              });
+              },
+              {}, ahead);
       parallel::fix_split_pieces(
           run.partials,
           [&](uint32_t fi, uint32_t dst, uint32_t src, uint32_t len) {

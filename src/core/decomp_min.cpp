@@ -94,6 +94,10 @@ decomp_info decomp_min_into(work_graph& wg, const options& opt,
       // lint: private-write(one leader task per split vertex)
       D[frontier[fi]] = kept;
     };
+    // Look-ahead for both phases: a frontier vertex's V, D and C lines,
+    // then its first edge line (see parallel::csr_lookahead).
+    const parallel::csr_lookahead ahead(frontier, V, E.data(), D.data(),
+                                        C.data());
     {
       parallel::workspace::scope phase_scope(ws);
       const parallel::frontier_result run = parallel::frontier_edge_for(
@@ -134,7 +138,8 @@ decomp_info decomp_min_into(work_graph& wg, const options& opt,
               D[v] = k;
             }
             return k - jlo;
-          });
+          },
+          {}, ahead);
       parallel::fix_split_pieces(run.partials, slide, publish);
     }
     if (pt != nullptr) pt->add("bfsPhase1", t.lap());
@@ -192,7 +197,8 @@ decomp_info decomp_min_into(work_graph& wg, const options& opt,
                   D[v] = k;
                 }
                 return k - jlo;
-              });
+              },
+              {}, ahead);
       parallel::fix_split_pieces(run.partials, slide, publish);
       next_size = run.emitted;
     }

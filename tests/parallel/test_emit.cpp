@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/component_index.hpp"
@@ -334,6 +336,274 @@ TEST(FrontierEdgeFor, SplitPieceCompactionMatchesSerial) {
             << "entry " << fi << " slot " << k << " chunk " << chunk;
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// frontier_edge_for's look-ahead hook
+
+// Records every index the hook sees, from any worker.
+struct recording_hook {
+  size_t fs;
+  uint32_t* vertex_calls;     // per-index count of vertex()
+  uint32_t* adjacency_calls;  // per-index count of adjacency()
+  uint32_t* out_of_range;     // calls with an index outside [0, fs)
+
+  void vertex(size_t fi) const { record(fi, vertex_calls); }
+  void adjacency(size_t fi) const { record(fi, adjacency_calls); }
+  void record(size_t fi, uint32_t* calls) const {
+    if (fi >= fs) {
+      parallel::fetch_add(out_of_range, 1u);
+    } else {
+      parallel::fetch_add(&calls[fi], 1u);
+    }
+  }
+};
+
+struct lookahead_config {
+  int workers;
+  size_t chunk;  // frontier_edge_opts::edges_per_chunk
+};
+
+// The serial fast path (one worker, auto chunk), the auto-chunked path at
+// several workers, and forced chunk widths that split the hub.
+const lookahead_config kLookaheadConfigs[] = {
+    {1, 0}, {2, 0}, {4, 0}, {1, 1}, {2, 7}, {4, 64}, {4, 2048}};
+
+// Frontiers shorter than, equal to and longer than the look-ahead window,
+// with zero-degree entries at the front, inside and at the end.
+std::vector<std::vector<uint32_t>> lookahead_frontiers() {
+  const size_t k = parallel::kLookahead;
+  std::vector<std::vector<uint32_t>> out = {
+      {}, {0}, {4}, {0, 0, 3}, std::vector<uint32_t>(k - 1, 2),
+      std::vector<uint32_t>(k, 1), std::vector<uint32_t>(2 * k + 1, 3)};
+  std::vector<uint32_t> mixed;
+  for (size_t i = 0; i < 300; ++i) {
+    mixed.push_back(i % 5 == 0 ? 0u : static_cast<uint32_t>(1 + i % 4));
+  }
+  mixed[37] = 5000;  // a hub split across chunks
+  mixed.push_back(0);
+  mixed.push_back(0);
+  out.push_back(mixed);
+  return out;
+}
+
+TEST(FrontierEdgeForLookahead, IndicesStayInRangeAndCoverVisitedEntries) {
+  for (const std::vector<uint32_t>& degs : lookahead_frontiers()) {
+    const size_t fs = degs.size();
+    const size_t total = std::accumulate(degs.begin(), degs.end(), size_t{0});
+    for (const lookahead_config cfg : kLookaheadConfigs) {
+      scoped_workers wg(cfg.workers);
+      const bool serial_path = cfg.chunk == 0 && cfg.workers == 1;
+      for (const bool emitting : {true, false}) {
+        std::vector<uint32_t> vcalls(fs, 0);
+        std::vector<uint32_t> acalls(fs, 0);
+        uint32_t bad = 0;
+        const recording_hook hook{fs, vcalls.data(), acalls.data(), &bad};
+        workspace ws;
+        const auto deg_of = [&](size_t fi) { return degs[fi]; };
+        if (emitting) {
+          std::vector<uint32_t> out(std::max<size_t>(total, 1));
+          parallel::frontier_edge_for<uint32_t>(
+              fs, deg_of, std::span<uint32_t>(out), ws,
+              [](size_t, uint32_t jlo, uint32_t jhi, uint32_t,
+                 emitter<uint32_t>&) -> uint32_t { return jhi - jlo; },
+              frontier_edge_opts{cfg.chunk}, hook);
+        } else {
+          parallel::frontier_edge_for(
+              fs, deg_of, ws,
+              [](size_t, uint32_t jlo, uint32_t jhi, uint32_t) -> uint32_t {
+                return jhi - jlo;
+              },
+              frontier_edge_opts{cfg.chunk}, hook);
+        }
+        const std::string where = "fs " + std::to_string(fs) + " workers " +
+                                  std::to_string(cfg.workers) + " chunk " +
+                                  std::to_string(cfg.chunk);
+        ASSERT_EQ(bad, 0u) << where;
+        for (size_t fi = 0; fi < fs; ++fi) {
+          if (serial_path) {
+            // One pass over the whole frontier: each stage exactly once.
+            ASSERT_EQ(vcalls[fi], 1u) << where << " entry " << fi;
+            ASSERT_EQ(acalls[fi], 1u) << where << " entry " << fi;
+          } else if (degs[fi] > 0) {
+            // Every visited entry was looked ahead at by each chunk that
+            // visits it (a split hub by several).
+            ASSERT_GE(vcalls[fi], 1u) << where << " entry " << fi;
+            ASSERT_GE(acalls[fi], 1u) << where << " entry " << fi;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The hook never changes what is visited, emitted or recorded as a split
+// piece; and the partials of a hub split across chunks stay valid (and
+// correct) while the workspace serves another traversal.
+TEST(FrontierEdgeForLookahead, StreamAndPartialsMatchNoHook) {
+  const std::vector<uint32_t> degs = lookahead_frontiers().back();
+  const size_t fs = degs.size();
+  const size_t hub = 37;
+  ASSERT_EQ(degs[hub], 5000u);
+  const size_t total = std::accumulate(degs.begin(), degs.end(), size_t{0});
+  const auto body = [](size_t fi, uint32_t jlo, uint32_t jhi, uint32_t,
+                       emitter<uint64_t>& em) -> uint32_t {
+    uint32_t kept = 0;
+    for (uint32_t j = jlo; j < jhi; ++j) {
+      if ((fi + j) % 3 != 0) {
+        em((static_cast<uint64_t>(fi) << 32) | j);
+        ++kept;
+      }
+    }
+    return kept;
+  };
+  const auto kept_in = [](size_t fi, uint32_t jlo, uint32_t jhi) {
+    uint32_t kept = 0;
+    for (uint32_t j = jlo; j < jhi; ++j) kept += (fi + j) % 3 != 0;
+    return kept;
+  };
+  for (const backend b : kBackends) {
+    scoped_backend bg(b);
+    for (const lookahead_config cfg : kLookaheadConfigs) {
+      scoped_workers wg(cfg.workers);
+      std::vector<uint64_t> out[2];
+      std::vector<frontier_piece> partials[2];
+      for (const int with_hook : {0, 1}) {
+        std::vector<uint32_t> vcalls(fs, 0);
+        std::vector<uint32_t> acalls(fs, 0);
+        uint32_t bad = 0;
+        workspace ws;
+        out[with_hook].assign(total, ~uint64_t{0});
+        const std::span<uint64_t> sink(out[with_hook]);
+        const auto deg_of = [&](size_t fi) { return degs[fi]; };
+        const frontier_edge_opts opt{cfg.chunk};
+        const frontier_result run =
+            with_hook ? parallel::frontier_edge_for<uint64_t>(
+                            fs, deg_of, sink, ws, body, opt,
+                            recording_hook{fs, vcalls.data(), acalls.data(),
+                                           &bad})
+                      : parallel::frontier_edge_for<uint64_t>(
+                            fs, deg_of, sink, ws, body, opt);
+        ASSERT_EQ(bad, 0u);
+        out[with_hook].resize(run.emitted);
+        // The partials stay valid until the caller rewinds: a second
+        // traversal on the same workspace must not overwrite them.
+        parallel::frontier_edge_for(
+            fs, deg_of, ws,
+            [](size_t, uint32_t, uint32_t, uint32_t) -> uint32_t {
+              return ~0u;
+            },
+            opt);
+        partials[with_hook].assign(run.partials.begin(), run.partials.end());
+      }
+      const std::string where =
+          "backend " + std::to_string(static_cast<int>(b)) + " workers " +
+          std::to_string(cfg.workers) + " chunk " + std::to_string(cfg.chunk);
+      ASSERT_EQ(out[1], out[0]) << where;
+      ASSERT_EQ(partials[1].size(), partials[0].size()) << where;
+      for (size_t i = 0; i < partials[0].size(); ++i) {
+        const frontier_piece& p = partials[0][i];
+        const frontier_piece& q = partials[1][i];
+        ASSERT_TRUE(p.fi == q.fi && p.jlo == q.jlo && p.jhi == q.jhi &&
+                    p.value == q.value)
+            << where << " piece " << i;
+      }
+      // The split hub's pieces tile [0, deg) in order, each carrying the
+      // body's kept count.
+      uint32_t next_jlo = 0;
+      for (const frontier_piece& p : partials[1]) {
+        if (p.fi != hub) continue;
+        ASSERT_EQ(p.jlo, next_jlo) << where;
+        ASSERT_EQ(p.value, kept_in(hub, p.jlo, p.jhi)) << where;
+        next_jlo = p.jhi;
+      }
+      const bool hub_split = cfg.chunk != 0 && cfg.chunk < degs[hub];
+      if (hub_split) {
+        ASSERT_EQ(next_jlo, degs[hub]) << where;
+      }
+    }
+  }
+}
+
+// csr_lookahead over a real CSR frontier: a compacting round gives the
+// same result with and without it. The frontier span is exactly fs long
+// and the last vertex has degree 0 (its offset equals m), so an
+// out-of-range load fails under ASan.
+TEST(FrontierEdgeForLookahead, CsrLookaheadLeavesCompactionUnchanged) {
+  const size_t n = 600;
+  std::vector<edge_id> V(n + 1, 0);
+  for (size_t v = 0; v < n; ++v) {
+    const edge_id deg = v == n - 1 ? 0 : v == 11 ? 3000 : (v * 7) % 6;
+    V[v + 1] = V[v] + deg;
+  }
+  const size_t m = V[n];
+  std::vector<vertex_id> base(m);
+  for (size_t s = 0; s < m; ++s) {
+    base[s] = static_cast<vertex_id>((s * 31) % n);
+  }
+  std::vector<vertex_id> frontier;
+  for (size_t v = 0; v < n; v += 3) {
+    frontier.push_back(static_cast<vertex_id>(v));
+  }
+  frontier.push_back(static_cast<vertex_id>(n - 1));
+  const size_t fs = frontier.size();
+
+  const auto run_round = [&](bool with_hook, const lookahead_config cfg) {
+    scoped_workers wg(cfg.workers);
+    std::vector<vertex_id> E = base;
+    std::vector<vertex_id> D(n);
+    for (size_t v = 0; v < n; ++v) {
+      D[v] = static_cast<vertex_id>(V[v + 1] - V[v]);
+    }
+    std::vector<uint8_t> touched(n, 0);
+    workspace ws;
+    const auto deg_of = [&](size_t fi) { return D[frontier[fi]]; };
+    const auto visit = [&](size_t fi, uint32_t jlo, uint32_t jhi,
+                           uint32_t deg) -> uint32_t {
+      const vertex_id v = frontier[fi];
+      uint32_t k = jlo;
+      for (uint32_t j = jlo; j < jhi; ++j) {
+        const vertex_id w = E[V[v] + j];
+        if (w % 2 == 0) {
+          // lint: private-write(piece owns slots [jlo, jhi) of v)
+          E[V[v] + k] = w;
+          ++k;
+        }
+      }
+      if (jlo == 0 && jhi == deg) {
+        // lint: private-write(whole-vertex piece: sole writer of D[v])
+        D[v] = k;
+        touched[v] = 1;  // lint: private-write(same owner)
+      }
+      return k - jlo;
+    };
+    const frontier_edge_opts opt{cfg.chunk};
+    const frontier_result run =
+        with_hook
+            ? parallel::frontier_edge_for(
+                  fs, deg_of, ws, visit, opt,
+                  parallel::csr_lookahead(
+                      std::span<const vertex_id>(frontier),
+                      std::span<const edge_id>(V), E.data(), D.data(),
+                      touched.data()))
+            : parallel::frontier_edge_for(fs, deg_of, ws, visit, opt);
+    parallel::fix_split_pieces(
+        run.partials,
+        [&](uint32_t fi, uint32_t dst, uint32_t src, uint32_t len) {
+          const edge_id start = V[frontier[fi]];
+          std::copy(E.begin() + start + src, E.begin() + start + src + len,
+                    E.begin() + start + dst);
+        },
+        [&](uint32_t fi, uint32_t kept) {
+          // lint: private-write(one leader task per split vertex)
+          D[frontier[fi]] = kept;
+        });
+    return std::make_pair(E, D);
+  };
+  for (const lookahead_config cfg : kLookaheadConfigs) {
+    ASSERT_EQ(run_round(true, cfg), run_round(false, cfg))
+        << "workers " << cfg.workers << " chunk " << cfg.chunk;
   }
 }
 
