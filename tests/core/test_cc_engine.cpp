@@ -395,6 +395,20 @@ uint64_t digest(const cc::cc_engine::forest_result& r) {
   return h;
 }
 
+// The labels plus every level's decomposition and contraction counts: the
+// labels alone are canonical, so they cannot tell two decompositions apart.
+uint64_t digest(std::span<const vertex_id> labels, const cc_stats& st) {
+  uint64_t h = digest({labels, {}});
+  for (const cc::level_stats& l : st.levels) {
+    for (const size_t x : {l.n, l.m, l.edges_kept, l.edges_after_dedup,
+                           l.num_clusters, l.num_singletons, l.bfs_rounds,
+                           l.dense_rounds}) {
+      h = fnv1a(h, static_cast<uint32_t>(x));
+    }
+  }
+  return h;
+}
+
 TEST(CcEngine, OutputsMatchPinnedDigests) {
   // Both engine modes are deterministic at fixed options: run_forest at any
   // worker count, run() at one worker. Their answers on a small corpus are
@@ -402,22 +416,28 @@ TEST(CcEngine, OutputsMatchPinnedDigests) {
   // that changes any label, forest edge or forest order fails here. Every
   // dedup route must give the one pinned forest (they promise the same
   // witness), and a low dense threshold pins the witness-carrying pull
-  // rounds.
+  // rounds. Decomp-Arb's column pins its per-level shape as well as its
+  // labels.
   const struct {
     const char* name;
     graph::graph g;
-    uint64_t forest, forest_dense, labels_1t;
+    uint64_t forest, forest_dense, labels_1t, arb_1t;
   } cases[] = {
       {"rmat", graph::rmat_graph(8192, 40000, 29),
-       0x7b9e677012856f63ull, 0x614fecff05d7db20ull, 0x0a6606b7f6fc5335ull},
+       0x7b9e677012856f63ull, 0x614fecff05d7db20ull, 0x0a6606b7f6fc5335ull,
+       0xab68b37a2ed3e970ull},
       {"random_multi", graph::random_graph(8000, 2, 5),
-       0x57eccebaad7c27f5ull, 0xfebc8b7f05613f6dull, 0xf97416f5824ad325ull},
+       0x57eccebaad7c27f5ull, 0xfebc8b7f05613f6dull, 0xf97416f5824ad325ull,
+       0xdbd6315895e596adull},
       {"line", graph::line_graph(20000, true, 3),
-       0x70b9d83a1a199cd3ull, 0x3b95db2b41a5a817ull, 0x4b7ecfe39eaa5665ull},
+       0x70b9d83a1a199cd3ull, 0x3b95db2b41a5a817ull, 0x4b7ecfe39eaa5665ull,
+       0x2f43591ae91bdb00ull},
       {"grid3d", graph::grid3d_graph(4096, true, 5),
-       0x0023aba019df08c6ull, 0xab954228c7138ebcull, 0x4bb9f56a921a2325ull},
+       0x0023aba019df08c6ull, 0xab954228c7138ebcull, 0x4bb9f56a921a2325ull,
+       0x7eb06d34e8f3feaeull},
       {"cliques_bridged", graph::cliques_with_bridges(40, 12),
-       0x14e1e6b499fb3aaeull, 0xcefafe6becba5c14ull, 0x3147b1e057f2f925ull},
+       0x14e1e6b499fb3aaeull, 0xcefafe6becba5c14ull, 0x3147b1e057f2f925ull,
+       0x744ec3a80923ad53ull},
   };
   cc_options opt;
   opt.seed = 12345;
@@ -425,6 +445,8 @@ TEST(CcEngine, OutputsMatchPinnedDigests) {
   dense_opt.dense_threshold = 0.02;
   cc_options labels_opt = opt;
   labels_opt.variant = decomp_variant::kArbHybrid;
+  cc_options arb_opt = opt;
+  arb_opt.variant = decomp_variant::kArb;
   for (const auto& c : cases) {
     cc::cc_engine engine;
     for (auto route : {cc::dedup_strategy::kAuto, cc::dedup_strategy::kHash,
@@ -439,6 +461,10 @@ TEST(CcEngine, OutputsMatchPinnedDigests) {
     parallel::scoped_workers one(1);
     EXPECT_EQ(digest({engine.run(c.g, labels_opt), {}}), c.labels_1t)
         << c.name;
+    cc_stats arb_stats;
+    const std::span<const vertex_id> arb_labels =
+        engine.run(c.g, arb_opt, &arb_stats);
+    EXPECT_EQ(digest(arb_labels, arb_stats), c.arb_1t) << c.name;
   }
 }
 
