@@ -1,15 +1,24 @@
-// Decomp-Arb-Hybrid: Decomp-Arb with direction-optimizing traversal
-// (Beamer et al.; Ligra-style), as described in Section 4 of the paper.
+// Decomp-Arb (Algorithm 3 of the paper) and Decomp-Arb-Hybrid, its
+// direction-optimizing form (Beamer et al.; Ligra-style) from Section 4.
+// Both run the one kernel below: Decomp-Arb is the hybrid with the dense
+// switch off.
 //
-// When the frontier holds more than `dense_threshold` of the vertices the
-// round switches to a read-based computation: every unvisited vertex scans
-// its neighbours and adopts the cluster of the first one it finds on the
-// frontier, then exits the scan early. The read direction is more
-// cache-friendly and needs no atomics, but it leaves edge statuses
-// undetermined, so a post-processing pass (filterEdges) resolves the edges
-// of every vertex that was never processed in a write-based round. Edges
-// relabeled on the fly during write-based rounds carry a sign-bit mark so
-// filterEdges does not touch them again.
+// Decomp-Arb runs one write-based (sparse) phase per BFS frontier: a
+// frontier vertex v scans its remaining edges; an unvisited neighbour w is
+// claimed with a CAS on C[w] (arbitrary tie-breaking — whichever BFS's CAS
+// lands first wins, which Theorem 2 shows only doubles the inter-cluster
+// edge bound). Claimed neighbours join the next frontier and the edge is
+// deleted as intra-cluster; otherwise the edge is kept iff the labels
+// differ, with the target relabeled to its cluster id on the fly.
+//
+// The hybrid switches to a read-based (dense) round when the frontier
+// holds more than `dense_threshold` of the vertices: every unvisited vertex
+// scans its neighbours and adopts the cluster of the first one it finds on
+// the frontier, then exits the scan early. The read direction is more
+// cache-friendly and needs no atomics, but it leaves the edges of that
+// round's frontier undetermined, so a post-processing pass (filterEdges)
+// resolves the edges of every vertex that was never processed in a
+// write-based round. A run with no dense round skips the pass.
 //
 // Dense rounds iterate a *shrinking* unvisited list instead of rescanning
 // all n vertices every round, and test frontier membership against a
@@ -17,19 +26,20 @@
 // measures) instead of a byte flag per vertex. Write-based rounds and
 // filterEdges are edge-balanced via frontier_edge_for, so hub vertices are
 // split across chunks and the next frontier is emitted without a shared
-// cursor.
+// cursor. A piece compacts its kept edges to the front of its own
+// [jlo, jhi) subrange; split vertices are stitched by fix_split_pieces.
 //
-// One body serves two modes. The labels mode (the public
-// decomp_arb_hybrid_into) claims with a CAS on first arrival. The witness
-// mode (internal::decomp_arb_hybrid_into, behind cc_engine::run_forest)
-// runs over a level graph whose every edge slot carries a witness (the
-// original-graph edge that realizes it), moves witnesses alongside the kept
-// edges, and appends each claim edge's witness to the spanning forest.
-// Unlike the labels mode, whose CAS races are benign because ANY claimer
-// yields correct components, a forest edge's identity depends on WHICH
-// claim wins, so the witness mode resolves claims deterministically and the
-// forest is a pure function of (graph, options), identical across worker
-// counts and scheduler backends.
+// One body serves two modes. The labels mode (the public decomp_arb_into
+// and decomp_arb_hybrid_into) claims with a CAS on first arrival. The
+// witness mode (internal::decomp_arb_hybrid_into, behind
+// cc_engine::run_forest) runs over a level graph whose every edge slot
+// carries a witness (the original-graph edge that realizes it), moves
+// witnesses alongside the kept edges, and appends each claim edge's
+// witness to the spanning forest. Unlike the labels mode, whose CAS races
+// are benign because ANY claimer yields correct components, a forest edge's
+// identity depends on WHICH claim wins, so the witness mode resolves claims
+// deterministically and the forest is a pure function of (graph, options),
+// identical across worker counts and scheduler backends.
 
 #include <type_traits>
 
@@ -54,6 +64,12 @@ struct claim_rec {
   vertex_id w;
   uint64_t witness;
 };
+
+// Decomp-Arb's options: a dense cutoff of n, which no frontier exceeds.
+options without_dense_rounds(options opt) {
+  opt.dense_threshold = 1.0;
+  return opt;
+}
 
 // Witness mode: `witness` parallels wg.edges and is compacted alongside it;
 // claim witnesses are appended to `forest` at `forest_count`, which is
@@ -88,12 +104,15 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
   std::span<vertex_id> frontier = ws.take<vertex_id>(n);
   std::span<vertex_id> next = ws.take<vertex_id>(n);
   size_t frontier_size = 0;
-  // resolved[v]: v's adjacency prefix was compacted/relabeled by a
-  // write-based round; unresolved vertices go through filterEdges.
-  std::span<uint8_t> resolved = ws.take_zeroed<uint8_t>(n);
   // Bit-packed frontier membership for the dense (pull) rounds.
   const size_t num_words = (n + 63) / 64;
   std::span<uint64_t> on_frontier = ws.take<uint64_t>(num_words);
+  // The union of the dense rounds' frontier bitmaps. A vertex on it was on
+  // a dense round's frontier, so no write-based round compacted/relabeled
+  // its adjacency; filterEdges does. Every vertex is on exactly one round's
+  // frontier, so the rest are resolved, and the sparse rounds never touch
+  // this bitmap.
+  std::span<uint64_t> unresolved = ws.take_zeroed<uint64_t>(num_words);
   // Shrinking list of still-unvisited vertices, maintained lazily: built at
   // the first dense round, compacted (pure two-pass, so the order stays
   // ascending) at each one after that.
@@ -103,6 +122,10 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
   bool have_unvisited = false;
   const size_t dense_cutoff = static_cast<size_t>(
       opt.dense_threshold * static_cast<double>(n));
+  // With no dense round reachable this is Decomp-Arb, whose rounds carry
+  // the paper's Figure 6 name.
+  const char* const sparse_phase =
+      dense_cutoff >= n ? "bfsMain" : "bfsSparse";
   // Sparse rounds emit the claimed vertices straight into `next`, or, in
   // witness mode, claim records into `claims` (one round can claim up to
   // n vertices). claim[] holds the proposal ranks and dense_wit the witness
@@ -167,6 +190,10 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
         const vertex_id v = frontier[i];
         parallel::fetch_or(&on_frontier[v >> 6], uint64_t{1} << (v & 63));
       });
+      parallel_for(0, num_words, [&](size_t w) {
+        // lint: private-write(iteration w owns word w)
+        unresolved[w] |= on_frontier[w];
+      });
       // Pull: only the still-unvisited vertices scan for a frontier
       // neighbour (the early exit keeps hub scans short, so this loop
       // stays at vertex granularity). v adopts the FIRST frontier
@@ -216,8 +243,7 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
       frontier_size = gathered;
       if (pt != nullptr) pt->add("bfsDense", t.lap());
     } else {
-      // Write-based (sparse) round: identical to Decomp-Arb, except kept
-      // edges carry the mark bit recording "already relabeled".
+      // Write-based (sparse) round: Decomp-Arb's round.
       //
       // The witness mode resolves claims in two phases per round:
       //   A (propose) — every frontier edge (fi, i) -> w with C[w] still
@@ -239,9 +265,9 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
       parallel::workspace::scope round_scope(ws);
       const auto deg_of = [&](size_t fi) { return D[frontier[fi]]; };
       // Look-ahead for the round's dependent misses: a frontier vertex's
-      // V, D, C and resolved lines, then its first edge line.
+      // V, D and C lines, then its first edge line.
       const parallel::csr_lookahead ahead(frontier, V, E.data(), D.data(),
-                                          C.data(), resolved.data());
+                                          C.data());
       if constexpr (kWitness) {
         if (!serial) {
           // Phase A: no writes to C, no compaction — partial pieces need
@@ -313,7 +339,7 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
                   }
                   if (w_label != my_label) {
                     // lint: private-write(piece owns slots [jlo, jhi) of v)
-                    ed[start + k] = internal::mark_edge(w_label);
+                    ed[start + k] = w_label;
                     if constexpr (kWitness) {
                       // lint: private-write(same piece-subrange invariant)
                       witness[start + k] = slot_witness(v, w, start + i);
@@ -324,7 +350,6 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
                 if (jlo == 0 && jhi == deg) {
                   // lint: private-write(whole-vertex piece: sole writer)
                   D[v] = k;
-                  resolved[v] = 1;  // lint: private-write(same owner)
                 }
                 return k - jlo;
               },
@@ -344,10 +369,8 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
             }
           },
           [&](uint32_t fi, uint32_t kept) {
-            const vertex_id v = frontier[fi];
             // lint: private-write(one leader task per split vertex)
-            D[v] = kept;
-            resolved[v] = 1;  // lint: private-write(same owner invariant)
+            D[frontier[fi]] = kept;
           });
       if constexpr (kWitness) {
         parallel_for(0, run.emitted, [&](size_t i) {
@@ -360,34 +383,29 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
       }
       std::swap(frontier, next);
       frontier_size = run.emitted;
-      if (pt != nullptr) pt->add("bfsSparse", t.lap());
+      if (pt != nullptr) pt->add(sparse_phase, t.lap());
     }
     ++round;
   }
 
   // filterEdges: resolve the adjacency (and witness slice) of every vertex
-  // that was never processed write-based (it was visited in a dense round,
-  // or its round's write pass was skipped entirely), then clear the mark
-  // bits everywhere. Edge-balanced like the rounds themselves: an
-  // unresolved hub's scan is split across chunks instead of serializing
-  // the pass.
-  t.start();
-  {
+  // that was never processed write-based — the frontier vertices of the
+  // dense rounds, so a run without one skips the pass. Edge-balanced like
+  // the rounds themselves: an unresolved hub's scan is split across chunks
+  // instead of serializing the pass.
+  if (res.num_dense_rounds > 0) {
+    t.start();
     parallel::workspace::scope filter_scope(ws);
     const parallel::frontier_result run = parallel::frontier_edge_for(
         n, [&](size_t v) { return D[v]; }, ws,
         [&](size_t vi, uint32_t jlo, uint32_t jhi, uint32_t deg) -> uint32_t {
           const vertex_id v = static_cast<vertex_id>(vi);
-          const edge_id start = V[v];
-          if (resolved[v]) {
-            for (uint32_t i = jlo; i < jhi; ++i) {
-              // lint: private-write(piece owns slots [jlo, jhi) of v)
-              E[start + i] = internal::unmark_edge(E[start + i]);
-            }
+          if (((unresolved[v >> 6] >> (v & 63)) & 1) == 0) {
             // "Kept" the whole piece: fix_split_pieces then never moves
             // slots of a resolved vertex and republishes D[v] unchanged.
             return jhi - jlo;
           }
+          const edge_id start = V[v];
           const vertex_id my_label = C[v];
           uint32_t k = jlo;
           for (uint32_t i = jlo; i < jhi; ++i) {
@@ -427,8 +445,8 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
           // lint: private-write(one leader task per split vertex)
           D[vi] = kept;
         });
+    if (pt != nullptr) pt->add("filterEdges", t.lap());
   }
-  if (pt != nullptr) pt->add("filterEdges", t.lap());
 
   res.num_rounds = round;
   res.edges_kept = parallel::reduce_sum_ws<size_t>(
@@ -445,6 +463,14 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
   size_t no_forest = 0;
   return hybrid_into<false>(wg, {}, false, opt, cluster, {}, no_forest, ws,
                             pt);
+}
+
+decomp_info decomp_arb_into(work_graph& wg, const options& opt,
+                            std::span<vertex_id> cluster,
+                            parallel::workspace& ws,
+                            parallel::phase_timer* pt) {
+  return decomp_arb_hybrid_into(wg, without_dense_rounds(opt), cluster, ws,
+                                pt);
 }
 
 namespace internal {
@@ -473,6 +499,15 @@ result decomp_arb_hybrid(work_graph& wg, const options& opt,
 result decompose_arb_hybrid(const graph::graph& g, const options& opt) {
   work_graph wg = work_graph::from(g);
   return decomp_arb_hybrid(wg, opt, nullptr);
+}
+
+result decomp_arb(work_graph& wg, const options& opt,
+                  parallel::phase_timer* pt) {
+  return decomp_arb_hybrid(wg, without_dense_rounds(opt), pt);
+}
+
+result decompose_arb(const graph::graph& g, const options& opt) {
+  return decompose_arb_hybrid(g, without_dense_rounds(opt));
 }
 
 }  // namespace pcc::ldd

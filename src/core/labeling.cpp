@@ -5,7 +5,7 @@
 // with the invariant p[x] <= x. Every hook is a write_min, every read of a
 // cell that races with hooks is an atomic_load, and the per-round change
 // flag is a write_once byte joined by the parallel_for barrier — the same
-// vocabulary as the decomposition kernels, so parallel_lint's rules apply
+// vocabulary as the decomposition kernels, so pcc_analyze's checks apply
 // unchanged.
 
 #include "core/labeling.hpp"

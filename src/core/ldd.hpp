@@ -10,6 +10,7 @@
 //   decomp_arb_hybrid — decomp_arb with direction-optimizing (read-based)
 //                       traversal on dense frontiers plus a post-pass
 //                       (filterEdges) that resolves edge statuses.
+//                       decomp_arb runs this kernel with no dense round.
 //
 // All variants run on a `work_graph`: a mutable copy of the edge array plus
 // per-vertex degrees, so intra-cluster edges can be deleted in place by
@@ -54,6 +55,7 @@ struct options {
   uint64_t seed = 42;
   // decomp_arb_hybrid switches to the read-based (dense) traversal when the
   // frontier holds more than this fraction of the vertices (paper: 20%).
+  // decomp_arb ignores it: it runs the hybrid with no dense round.
   double dense_threshold = 0.2;
   // Historical (retained for API compatibility, now ignored): the
   // Section-4 per-hub edge-parallel path. Every round is now edge-balanced
@@ -118,7 +120,9 @@ struct decomp_info {
 // The three decomposition variants. `pt` (optional) accumulates per-phase
 // times under the names used by Figures 5-7: "init", "bfsPre", "bfsPhase1",
 // "bfsPhase2" (min); "bfsMain" (arb); "bfsSparse", "bfsDense",
-// "filterEdges" (hybrid).
+// "filterEdges" (hybrid). The hybrid records "filterEdges" only when a
+// dense round ran, and names its sparse rounds "bfsMain" when
+// dense_threshold >= 1 leaves no dense round reachable.
 result decomp_min(work_graph& wg, const options& opt,
                   parallel::phase_timer* pt = nullptr);
 result decomp_arb(work_graph& wg, const options& opt,

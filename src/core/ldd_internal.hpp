@@ -1,6 +1,7 @@
 // Shared internals of the decomposition variants: the shift-value schedule,
-// the edge-marking helpers, and the witness mode of Decomp-Arb-Hybrid the
-// engine's forest mode runs. Not part of the public API.
+// Decomp-Min's edge-marking helpers, and the witness mode of
+// Decomp-Arb-Hybrid the engine's forest mode runs. Not part of the public
+// API.
 #pragma once
 
 #include <algorithm>
@@ -20,7 +21,8 @@ namespace pcc::ldd::internal {
 
 // Sign-bit marking of edge entries (paper: "sets the sign bit of the value
 // (negates it and subtracts 1)"). With 31-bit vertex ids we use the top bit
-// of the uint32 entry.
+// of the uint32 entry. Decomp-Min's phase 2 reads the mark; the Arb
+// variants flag their unresolved vertices instead and never set it.
 inline constexpr vertex_id kEdgeMark = vertex_id{1} << 31;
 inline constexpr vertex_id mark_edge(vertex_id label) { return label | kEdgeMark; }
 inline constexpr vertex_id unmark_edge(vertex_id e) { return e & ~kEdgeMark; }

@@ -3,8 +3,8 @@
 // Matches the representation in Section 4 of the paper: an array of vertex
 // offsets V into an array of edges E; the graph is undirected and every
 // edge is stored in both directions. The library requires vertex ids to
-// fit in 31 bits because the decomposition algorithms use the sign bit of
-// an edge entry to mark edges that were relabeled on the fly.
+// fit in 31 bits because Decomp-Min uses the sign bit of an edge entry to
+// mark edges that were relabeled on the fly.
 #pragma once
 
 #include <cassert>
@@ -18,7 +18,8 @@
 
 namespace pcc::graph {
 
-// Maximum supported vertex count (sign bit reserved for edge marking).
+// Maximum supported vertex count (sign bit reserved for Decomp-Min's edge
+// marks).
 inline constexpr size_t kMaxVertices = size_t{1} << 31;
 
 class graph {

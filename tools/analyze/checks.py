@@ -15,7 +15,9 @@ catalog):
                             (a workspace is not thread-safe).
   hygiene                   std::function, allocation, rand/time, and
                             iteration-order-dependent hash traversal inside
-                            parallel bodies and registry run_* impls.
+                            parallel bodies and registry run_* impls, and
+                            static locals (neither constexpr nor
+                            thread_local) inside parallel bodies.
 
 Plus the annotation audit: `// lint: private-write(<invariant>)` must carry
 non-empty text and anchor a store expression; `// analyze: suppress(check:
@@ -122,16 +124,16 @@ CHECK_NAMES = [
     "alloc-in-parallel",
     "rand-time-in-parallel",
     "hash-iteration-order",
+    "static-in-parallel",
     "orphaned-annotation",
     "empty-annotation",
     "unused-suppression",
 ]
 
-# Legacy parallel_lint rule names accepted in `lint: allow(...)` markers.
+# Rule names of the retired token lint that differ from the check names,
+# still accepted in `lint: allow(...)` markers.
 LEGACY_RULE_MAP = {
     "raw-captured-write": "shared-write",
-    "shared-cursor-emission": "shared-cursor-emission",
-    "std-function-in-parallel": "std-function-in-parallel",
     "rand-in-parallel": "rand-time-in-parallel",
 }
 
@@ -1154,7 +1156,7 @@ class Analyzer:
         where = f"a {region.kind} body" if region else \
             f"registry hot path `{fn.qualname}`"
 
-        # token-level: std::function, raw new
+        # token-level: std::function, raw new, static locals
         toks = list(iter_tokens(body))
         for k, t in enumerate(toks):
             if t.kind != "id":
@@ -1174,6 +1176,16 @@ class Analyzer:
                         f"operator new inside {where}: parallel bodies "
                         "must draw scratch from the caller's workspace "
                         "arena, not the system allocator", fn, region)
+            elif t.text == "static" and region is not None:
+                near = {toks[j].text for j in (k - 1, k + 1)
+                        if 0 <= j < len(toks)}
+                if not near & {"constexpr", "thread_local"}:
+                    self.report(
+                        ctx, t.line, t.col, "static-in-parallel",
+                        f"static local inside {where}: mutable state "
+                        "shared by every iteration, and magic-static "
+                        "initialization serializes; use static constexpr, "
+                        "thread_local, or hoist it out", fn, region)
 
         # call-level
         for call in cppast.find_calls(body):

@@ -331,13 +331,17 @@ _DECL_STOP = KEYWORDS_CONTROL | {"delete", "new", "throw", "using",
 
 def _type_prefix_ok(nodes) -> bool:
     """True if `nodes` (the tokens before a candidate declarator name) look
-    like a type: identifiers, ::, <...> template args, qualifiers, * & &&."""
+    like a type: identifiers, ::, <...> template args, qualifiers, * & &&.
+    Template args may hold parenthesized groups: function types such as
+    `std::function<int(int)>` or `std::pair<int (*)(int), int>`."""
     if not nodes:
         return False
     saw_id = False
     angle = 0
     for x in nodes:
         if x.is_group():
+            if angle > 0:
+                continue
             return False
         if x.kind == "id":
             if x.text in _DECL_STOP:

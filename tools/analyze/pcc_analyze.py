@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """pcc_analyze: AST-based concurrency & memory-discipline analyzer.
 
-Supersedes the token heuristics of tools/lint/parallel_lint.py with
-structural checks over every parallel region (`parallel_for`, `par_do`,
+Structural checks over every parallel region (`parallel_for`, `par_do`,
 `emit_pack`, `frontier_edge_for`, ... bodies) and over registry `run_*`
 implementations:
 
@@ -19,12 +18,13 @@ implementations:
                              arena stored into objects that outlive it;
                              also workspace mutation inside parallel bodies.
   hygiene                    std::function / allocation / rand-time /
-                             hash-iteration-order in hot parallel paths.
+                             hash-iteration-order in hot parallel paths, and
+                             static locals in parallel bodies.
 
 Suppressions: `// analyze: suppress(<check>: <reason>)` on the finding's
 line or the line above (reason text is mandatory; unused suppressions are
 themselves findings). The legacy `// lint: allow(rule: reason)` spelling is
-accepted for the ported rules.
+accepted too.
 
 Usage:
     pcc_analyze.py [--compile-commands build/compile_commands.json]

@@ -41,3 +41,13 @@ void local_only(const unsigned* in, unsigned* out) {
     out[i] = acc;
   });
 }
+
+// A local whose type's template arguments hold a function type is still a
+// local: its initializer and member stores are not shared writes.
+void function_typed_local(unsigned* out) {
+  parallel_for(0, 64, [&](unsigned long i) {
+    std::pair<int (*)(int), int> q = {nullptr, 0};
+    q.second = static_cast<int>(i);
+    out[i] = static_cast<unsigned>(q.second);
+  });
+}

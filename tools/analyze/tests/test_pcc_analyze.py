@@ -2,7 +2,10 @@
 
 Every check family has at least one positive fixture (each check fires at
 the expected line) and one negative fixture (the analyzer stays silent on
-disciplined code). The JSON report schema is pinned by a regression test.
+disciplined code). In the fixtures that mark their racy lines with
+`// BAD`, each such line (or, for a comment-only line, the statement under
+it) must draw exactly one finding and no other line any. The JSON report
+schema is pinned by a regression test.
 
 Run directly (python3 -m unittest discover -s tools/analyze/tests) or via
 the `analyze_selftest` CTest target.
@@ -44,6 +47,55 @@ def line_text(name, line):
         return f.read().splitlines()[line - 1]
 
 
+def bad_lines(name):
+    """The lines a fixture marks `// BAD`; a comment-only marker line
+    stands for the first code line below it."""
+    with open(os.path.join(FIXTURES, name)) as f:
+        lines = f.read().splitlines()
+    out = []
+    for i, text in enumerate(lines):
+        if "// BAD" in text:
+            while lines[i].lstrip().startswith("//"):
+                i += 1
+            out.append(i + 1)
+    return out
+
+
+# Minimal declarations for the inline sources below.
+PRELUDE = (
+    "namespace pcc::parallel { template <typename F>"
+    " void parallel_for(unsigned long, unsigned long, F&&);"
+    " template <typename T> T fetch_add(T*, T); }\n"
+    "using pcc::parallel::parallel_for;\n"
+)
+
+
+def analyze_source(source):
+    """Findings for a snippet placed after PRELUDE (its line 1 is the
+    file's line 3)."""
+    with tempfile.NamedTemporaryFile("w", suffix=".cpp",
+                                     delete=False) as tmp:
+        tmp.write(PRELUDE + source)
+        path = tmp.name
+    try:
+        _, findings = pcc_analyze.analyze_files([path])
+        return findings
+    finally:
+        os.unlink(path)
+
+
+class MarkedFixtureTests(unittest.TestCase):
+    """One finding on every `// BAD` line, none elsewhere."""
+
+    def test_bad_lines_draw_exactly_one_finding(self):
+        for name in ("bad_raw_store.cpp", "bad_policy_template.cpp",
+                     "bad_cursor_scatter.cpp", "bad_banned_constructs.cpp"):
+            with self.subTest(fixture=name):
+                findings = active(analyze(name))
+                self.assertEqual([f.line for f in findings], bad_lines(name),
+                                 msg="\n".join(f.message for f in findings))
+
+
 class SharedWriteTests(unittest.TestCase):
     def test_positive_fixture(self):
         findings = active(analyze("bad_shared_write.cpp"))
@@ -68,9 +120,37 @@ class SharedWriteTests(unittest.TestCase):
         self.assertIn("parameter `p`", helper[0].message)
 
     def test_negative_fixture(self):
-        findings = analyze("good_shared_write.cpp")
-        self.assertEqual(findings, [],
-                         msg="\n".join(f.message for f in findings))
+        for name in ("good_shared_write.cpp", "good_atomics.cpp",
+                     "good_policy_template.cpp", "good_outside_region.cpp"):
+            with self.subTest(fixture=name):
+                findings = analyze(name)
+                self.assertEqual(findings, [],
+                                 msg="\n".join(f.message for f in findings))
+
+    def test_raw_stores_through_captures(self):
+        findings = active(analyze("bad_raw_store.cpp"))
+        self.assertEqual([f.check for f in findings], ["shared-write"] * 4)
+        self.assertIn("D[v] = 0;", line_text("bad_raw_store.cpp",
+                                             findings[0].line))
+
+    def test_raw_store_inside_constexpr_branch(self):
+        # Both `if constexpr` branches store raw: `p[u]` and `p[pu]`.
+        findings = active(analyze("bad_policy_template.cpp"))
+        self.assertEqual([f.check for f in findings], ["shared-write"] * 2)
+        self.assertIn("p[u] = pv;", line_text("bad_policy_template.cpp",
+                                              findings[0].line))
+        self.assertIn("p[pu] = pv;", line_text("bad_policy_template.cpp",
+                                               findings[1].line))
+
+    def test_increment_of_captured_subscript(self):
+        findings = active(analyze_source("""
+void f(unsigned long* counts) {
+  parallel_for(0, 64, [&](unsigned long i) {
+    ++counts[i % 8];
+  });
+}
+"""))
+        self.assertEqual([f.check for f in findings], ["shared-write"])
 
 
 class WitnessSpanTests(unittest.TestCase):
@@ -130,7 +210,28 @@ class SharedCursorTests(unittest.TestCase):
         self.assertTrue(all("emit_pack" in f.message for f in findings))
 
     def test_negative_fixture(self):
-        findings = analyze("good_emission.cpp")
+        for name in ("good_emission.cpp", "good_emit_pack.cpp"):
+            with self.subTest(fixture=name):
+                findings = analyze(name)
+                self.assertEqual(findings, [],
+                                 msg="\n".join(f.message for f in findings))
+
+    def test_qualified_helper_and_legacy_allow_marker(self):
+        findings = analyze("bad_cursor_scatter.cpp")
+        self.assertEqual(by_check(findings), ["shared-cursor-emission"] * 2)
+        waived = [f for f in findings if f.suppressed]
+        self.assertEqual([f.check for f in waived],
+                         ["shared-cursor-emission"])
+
+    def test_plain_fetch_add_counter_is_clean(self):
+        # fetch_add as a counter (no subscript) is not an emission.
+        findings = analyze_source("""
+void f(unsigned long* total) {
+  parallel_for(0, 4, [&](unsigned long i) {
+    pcc::parallel::fetch_add<unsigned long>(total, i);
+  });
+}
+""")
         self.assertEqual(findings, [],
                          msg="\n".join(f.message for f in findings))
 
@@ -172,6 +273,28 @@ class HygieneTests(unittest.TestCase):
         self.assertEqual(findings, [],
                          msg="\n".join(f.message for f in findings))
 
+    def test_static_locals(self):
+        # `static int counter` is flagged; `static constexpr` and
+        # `static thread_local` are not.
+        findings = active(analyze("bad_banned_constructs.cpp"))
+        statics = [f for f in findings if f.check == "static-in-parallel"]
+        self.assertEqual(len(statics), 1)
+        self.assertIn("static int counter",
+                      line_text("bad_banned_constructs.cpp",
+                                statics[0].line))
+
+    def test_legacy_allow_marker_waives_static(self):
+        findings = analyze_source("""
+void f() {
+  parallel_for(0, 4, [&](unsigned long) {
+    static int x = 0;  // lint: allow(static-in-parallel: init-once cache)
+    (void)x;
+  });
+}
+""")
+        self.assertEqual(active(findings), [])
+        self.assertEqual([f.check for f in findings], ["static-in-parallel"])
+
 
 class AnnotationAuditTests(unittest.TestCase):
     def test_positive_fixture(self):
@@ -191,6 +314,28 @@ class AnnotationAuditTests(unittest.TestCase):
         self.assertEqual([f.check for f in suppressed],
                          ["shared-write"] * 2)
         self.assertTrue(all(f.suppress_reason for f in suppressed))
+
+    def _private_write(self, marked_store):
+        return analyze_source("""
+void f(unsigned* a) {
+  parallel_for(0, 4, [&](unsigned long i) {
+%s
+  });
+}
+""" % marked_store)
+
+    def test_private_write_waives_same_line_and_line_above(self):
+        for store in (
+                "    a[i / 2] = 0;  // lint: private-write(i pairs take turns)",
+                "    // lint: private-write(i pairs take turns)\n"
+                "    a[i / 2] = 0;"):
+            with self.subTest(store=store):
+                self.assertEqual(self._private_write(store), [])
+
+    def test_private_write_needs_its_parenthesized_invariant(self):
+        findings = self._private_write(
+            "    a[i / 2] = 0;  // lint: private-write")
+        self.assertEqual(by_check(findings), ["shared-write"])
 
 
 class ReportSchemaTests(unittest.TestCase):
