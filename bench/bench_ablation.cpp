@@ -121,7 +121,6 @@ int main() {
 
   const char* fixed[] = {"decomp-arb-hybrid", "serial-sf-rem",
                          "parallel-sf-rem",   "hybrid-bfs",
-                         "label-prop",        "shiloach-vishkin",
                          "afforest",          "lt-psa"};
 
   std::vector<bench_record> records;

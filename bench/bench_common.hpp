@@ -250,7 +250,9 @@ inline std::vector<cc_impl> table2_implementations() {
       row("decomp-arb-hybrid-CC", "decomp-arb-hybrid", true),
       row("decomp-min-CC", "decomp-min", true),
       row("parallel-SF-PBBS", "parallel-sf-pbbs", true),
-      row("parallel-SF-PRM", "parallel-sf-prm", true),
+      // PRM's code: lock-based Rem's splicing, the variant the PRM study
+      // found fastest.
+      row("parallel-SF-PRM", "parallel-sf-rem", true),
       row("hybrid-BFS-CC", "hybrid-bfs", true),
       row("multistep-CC", "multistep", true),
   };

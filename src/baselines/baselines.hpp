@@ -1,4 +1,7 @@
-// The comparison implementations from Section 5 of the paper.
+// The comparison implementations from Section 5 of the paper: serial SF,
+// PBBS's parallel SF, PRM's lock-based parallel SF, hybrid BFS and
+// Multistep — plus Rem's serial union-find (the Table 2 footnote) and the
+// post-paper Afforest.
 //
 // Every function returns a connected-components labeling (same contract as
 // pcc::cc::connected_components: equal labels iff same component). None of
@@ -31,13 +34,11 @@ std::vector<vertex_id> serial_sf_rem_components(const graph::graph& g);
 // Rem's sequential splicing walk directly over caller storage; labels
 // become each component's minimum vertex id (canonical).
 void serial_sf_rem_into(const graph::graph& g, std::span<vertex_id> parent);
-// parallel-SF-PRM: lock-based multicore union-find spanning forest in the
-// style of Patwary, Refsnes, Manne (IPDPS'12).
-std::vector<vertex_id> parallel_sf_prm_components(const graph::graph& g);
 // parallel-SF-PBBS: deterministic-reservations spanning forest as in PBBS.
 std::vector<vertex_id> parallel_sf_pbbs_components(const graph::graph& g);
-// Lock-based parallel Rem's algorithm (the union-find variant inside the
-// PRM study; see rem_union_find.hpp).
+// parallel-SF-PRM: lock-based parallel Rem's algorithm, the union-find
+// variant the Patwary, Refsnes, Manne study (IPDPS'12) found fastest; see
+// rem_union_find.hpp.
 std::vector<vertex_id> parallel_sf_rem_components(const graph::graph& g);
 void parallel_sf_rem_into(const graph::graph& g, parallel::workspace& ws,
                           std::span<vertex_id> labels);
@@ -49,19 +50,6 @@ std::vector<vertex_id> hybrid_bfs_components(const graph::graph& g);
 // multistep-CC: Slota, Rajamanickam, Madduri (IPDPS'14) — one parallel BFS
 // for the largest component, label propagation for the rest.
 std::vector<vertex_id> multistep_components(const graph::graph& g);
-// Pure label propagation (the graph-systems baseline the paper discusses;
-// diameter-bounded depth, not work-efficient).
-std::vector<vertex_id> label_prop_components(const graph::graph& g);
-
-// --- Classic PRAM algorithms --------------------------------------------
-// Shiloach-Vishkin hook-and-shortcut (O(m log n) work, textbook).
-std::vector<vertex_id> shiloach_vishkin_components(const graph::graph& g);
-// Reif / Phillips random-mate contraction (O(m log n) expected work).
-std::vector<vertex_id> random_mate_components(const graph::graph& g);
-std::vector<vertex_id> random_mate_components(const graph::graph& g,
-                                              uint64_t seed);
-// Awerbuch-Shiloach tree hooking (O(m log n) work).
-std::vector<vertex_id> awerbuch_shiloach_components(const graph::graph& g);
 
 // --- Post-paper sampling techniques ------------------------------------
 // Afforest-style sampling connectivity (Sutton et al., IPDPS'18) — union a

@@ -3,7 +3,6 @@
 
 #include "core/registry.hpp"
 
-#include <array>
 #include <cassert>
 #include <stdexcept>
 #include <vector>
@@ -67,11 +66,10 @@ void run_spanning_forest(const graph::graph& g, const cc_options& opt,
   ws.last_forest = r.forest;
 }
 
-// --- Liu–Tarjan labeling variants, indexed into liu_tarjan_variants() ---
-template <size_t I>
-void run_lt(const graph::graph& g, const cc_options&, algo_workspace& ws,
-            std::span<vertex_id> out, cc_stats*) {
-  liu_tarjan_into(g, liu_tarjan_variants()[I].policy, out, ws.scratch);
+// --- Liu–Tarjan labeling (the selector's pick on forest-like inputs) ----
+void run_lt_psa(const graph::graph& g, const cc_options&, algo_workspace& ws,
+                std::span<vertex_id> out, cc_stats*) {
+  liu_tarjan_into(g, out, ws.scratch);
 }
 
 // --- workspace-backed baselines ----------------------------------------
@@ -102,11 +100,6 @@ void run_serial_sf(const graph::graph& g, const cc_options&, algo_workspace&,
   copy_labels(baselines::serial_sf_components(g), out);
 }
 
-void run_parallel_sf_prm(const graph::graph& g, const cc_options&,
-                         algo_workspace&, std::span<vertex_id> out, cc_stats*) {
-  copy_labels(baselines::parallel_sf_prm_components(g), out);
-}
-
 void run_parallel_sf_pbbs(const graph::graph& g, const cc_options&,
                           algo_workspace&, std::span<vertex_id> out,
                           cc_stats*) {
@@ -116,28 +109,6 @@ void run_parallel_sf_pbbs(const graph::graph& g, const cc_options&,
 void run_multistep(const graph::graph& g, const cc_options&, algo_workspace&,
                    std::span<vertex_id> out, cc_stats*) {
   copy_labels(baselines::multistep_components(g), out);
-}
-
-void run_label_prop(const graph::graph& g, const cc_options&, algo_workspace&,
-                    std::span<vertex_id> out, cc_stats*) {
-  copy_labels(baselines::label_prop_components(g), out);
-}
-
-void run_shiloach_vishkin(const graph::graph& g, const cc_options&,
-                          algo_workspace&, std::span<vertex_id> out,
-                          cc_stats*) {
-  copy_labels(baselines::shiloach_vishkin_components(g), out);
-}
-
-void run_random_mate(const graph::graph& g, const cc_options& opt,
-                     algo_workspace&, std::span<vertex_id> out, cc_stats*) {
-  copy_labels(baselines::random_mate_components(g, opt.seed), out);
-}
-
-void run_awerbuch_shiloach(const graph::graph& g, const cc_options&,
-                           algo_workspace&, std::span<vertex_id> out,
-                           cc_stats*) {
-  copy_labels(baselines::awerbuch_shiloach_components(g), out);
 }
 
 // --- the reorder wrapper -------------------------------------------------
@@ -266,8 +237,6 @@ std::vector<algorithm> build_table() {
       false, false, false, &run_serial_sf);
   add("serial-sf-rem", "sequential Rem's splicing union-find (Patwary et al.)",
       true, false, true, &run_serial_sf_rem);
-  add("parallel-sf-prm", "lock-based multicore union-find (PRM, IPDPS'12)",
-      false, false, false, &run_parallel_sf_prm);
   add("parallel-sf-pbbs", "deterministic-reservations spanning forest (PBBS)",
       false, false, false, &run_parallel_sf_pbbs);
   add("parallel-sf-rem", "lock-based parallel Rem's union-find (PRM study)",
@@ -276,27 +245,12 @@ std::vector<algorithm> build_table() {
       true, false, true, &run_hybrid_bfs);
   add("multistep", "BFS giant component + label propagation (Slota et al.)",
       false, false, false, &run_multistep);
-  add("label-prop", "pure label propagation (graph-systems baseline)", true,
-      false, false, &run_label_prop);
-  add("shiloach-vishkin", "classic hook-and-shortcut (Shiloach-Vishkin 1982)",
-      true, false, false, &run_shiloach_vishkin);
-  add("random-mate", "Reif/Phillips random-mate contraction", false, true,
-      false, &run_random_mate);
-  add("awerbuch-shiloach", "Awerbuch-Shiloach tree hooking", false, false,
-      false, &run_awerbuch_shiloach);
   add("afforest", "sampled neighbour rounds + giant-component skip (Afforest)",
       true, true, true, &run_afforest);
 
-  // The Liu–Tarjan lattice, one entry per named variant. kLtRuns must stay
-  // in lockstep with liu_tarjan_variants() — checked below.
-  constexpr std::array<decltype(algorithm::run), 10> kLtRuns = {
-      &run_lt<0>, &run_lt<1>, &run_lt<2>, &run_lt<3>, &run_lt<4>,
-      &run_lt<5>, &run_lt<6>, &run_lt<7>, &run_lt<8>, &run_lt<9>};
-  const std::span<const lt_variant> lts = liu_tarjan_variants();
-  assert(lts.size() == kLtRuns.size());
-  for (size_t i = 0; i < lts.size() && i < kLtRuns.size(); ++i) {
-    add(lts[i].name, lts[i].description, true, false, true, kLtRuns[i]);
-  }
+  add("lt-psa",
+      "Liu-Tarjan labeling: parent hook, single shortcut, altered edges",
+      true, false, true, &run_lt_psa);
   return t;
 }
 

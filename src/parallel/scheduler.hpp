@@ -58,7 +58,7 @@ inline backend& backend_ref() {
 
 #if PCC_TSAN_SCHEDULER
 struct tsan_omp_job {
-  void (*invoke)(void*, size_t) = nullptr;
+  void (*invoke)(void*, size_t) noexcept = nullptr;
   void* ctx = nullptr;
   size_t num_blocks = 0;
   std::atomic<size_t> next{0};
@@ -72,10 +72,14 @@ struct tsan_omp_job {
 // reaching this path), so a single slot suffices.
 inline std::atomic<tsan_omp_job*> tsan_omp_current{nullptr};
 
+// noexcept like thread_pool's trampoline: a throwing body terminates on
+// both backends instead of unwinding out of a live region.
 template <typename Body>
-void tsan_omp_run(size_t num_blocks, Body& body) {
+void tsan_omp_run(size_t num_blocks, Body& body) noexcept {
   tsan_omp_job j;
-  j.invoke = [](void* ctx, size_t b) { (*static_cast<Body*>(ctx))(b); };
+  j.invoke = [](void* ctx, size_t b) noexcept {
+    (*static_cast<Body*>(ctx))(b);
+  };
   j.ctx = &body;
   j.num_blocks = num_blocks;
   // Fork edge: workers acquire-load the slot inside the region, ordering
@@ -87,7 +91,7 @@ void tsan_omp_run(size_t num_blocks, Body& body) {
     // Snapshot the job fields up front: the overrunning fetch_add below is
     // each worker's release into the join edge, so no plain read of the
     // job (which lives on the submitter's stack) may follow it.
-    void (*const invoke)(void*, size_t) = jp->invoke;
+    void (*const invoke)(void*, size_t) noexcept = jp->invoke;
     void* const ctx = jp->ctx;
     const size_t blocks = jp->num_blocks;
     while (true) {

@@ -95,17 +95,21 @@ class thread_pool {
   // running inline — see scheduler.hpp). The callable is passed by
   // reference through a raw (fn pointer, context) pair — unlike
   // std::function this never heap-allocates, which keeps parallel regions
-  // off the allocator on the engine's hot path.
+  // off the allocator on the engine's hot path. Block bodies must not
+  // throw: the trampoline is noexcept, so a throw calls std::terminate on
+  // whichever thread ran the block, as it does inside an OpenMP region —
+  // an exception unwinding out of run() would free the job while workers
+  // still hold it.
   template <typename F>
   void run(size_t num_blocks, F&& block_fn) {
     using Fn = std::remove_reference_t<F>;
     run_erased(
         num_blocks,
-        [](void* ctx, size_t b) { (*static_cast<Fn*>(ctx))(b); },
+        [](void* ctx, size_t b) noexcept { (*static_cast<Fn*>(ctx))(b); },
         const_cast<void*>(static_cast<const void*>(&block_fn)));
   }
 
-  void run_erased(size_t num_blocks, void (*invoke)(void*, size_t),
+  void run_erased(size_t num_blocks, void (*invoke)(void*, size_t) noexcept,
                   void* ctx) {
     if (num_blocks == 0) return;
     job j;
@@ -205,7 +209,7 @@ class thread_pool {
   };
 
   struct job {
-    void (*invoke)(void*, size_t) = nullptr;
+    void (*invoke)(void*, size_t) noexcept = nullptr;
     void* ctx = nullptr;
     block_deque* deques = nullptr;
     size_t num_participants = 1;

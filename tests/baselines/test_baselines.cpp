@@ -22,15 +22,9 @@ std::vector<std::pair<std::string, components_fn>> all_baselines() {
   return {
       {"serial_sf", &serial_sf_components},
       {"serial_sf_rem", &serial_sf_rem_components},
-      {"parallel_sf_prm", &parallel_sf_prm_components},
       {"parallel_sf_pbbs", &parallel_sf_pbbs_components},
       {"hybrid_bfs", &hybrid_bfs_components},
       {"multistep", &multistep_components},
-      {"label_prop", &label_prop_components},
-      {"shiloach_vishkin", &shiloach_vishkin_components},
-      {"random_mate",
-       [](const graph::graph& g) { return random_mate_components(g); }},
-      {"awerbuch_shiloach", &awerbuch_shiloach_components},
       {"parallel_sf_rem", &parallel_sf_rem_components},
       {"afforest", &afforest_components},
   };
@@ -76,7 +70,7 @@ TEST(Baselines, ParallelSfImplementationsAreRaceFreeOverSeeds) {
   const graph::graph g = graph::cliques_with_bridges(30, 10);
   const auto reference = serial_sf_components(g);
   for (int run = 0; run < 10; ++run) {
-    EXPECT_TRUE(labels_equivalent(reference, parallel_sf_prm_components(g)));
+    EXPECT_TRUE(labels_equivalent(reference, parallel_sf_rem_components(g)));
     EXPECT_TRUE(labels_equivalent(reference, parallel_sf_pbbs_components(g)));
   }
 }
@@ -99,37 +93,6 @@ TEST(Baselines, HybridBfsHandlesManyTinyComponents) {
   const auto labels = hybrid_bfs_components(g);
   EXPECT_TRUE(is_valid_components_labeling(g, labels));
   EXPECT_EQ(cc::num_components(labels), 300u);
-}
-
-TEST(Baselines, LabelPropFindsMinimumLabelPerComponent) {
-  const graph::graph g = graph::disjoint_union(
-      {graph::cycle_graph(10), graph::cycle_graph(10)});
-  const auto labels = label_prop_components(g);
-  for (size_t v = 0; v < 10; ++v) EXPECT_EQ(labels[v], 0u);
-  for (size_t v = 10; v < 20; ++v) EXPECT_EQ(labels[v], 10u);
-}
-
-TEST(Baselines, RandomMateSeedsAllProduceSamePartition) {
-  const graph::graph g = graph::random_graph(2000, 3, 5);
-  const auto reference = serial_sf_components(g);
-  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
-    EXPECT_TRUE(labels_equivalent(reference, random_mate_components(g, seed)))
-        << "seed " << seed;
-  }
-}
-
-TEST(Baselines, AwerbuchShiloachWorstCaseChain) {
-  // Long path: hooks must cascade without forming cycles.
-  const graph::graph g = graph::line_graph(50000);
-  const auto labels = awerbuch_shiloach_components(g);
-  for (size_t v = 0; v < g.num_vertices(); ++v) ASSERT_EQ(labels[v], 0u);
-}
-
-TEST(Baselines, ShiloachVishkinStarCollapse) {
-  // A star is the best case for SV (single hooking round).
-  const graph::graph g = graph::star_graph(10000);
-  const auto labels = shiloach_vishkin_components(g);
-  for (size_t v = 0; v < g.num_vertices(); ++v) ASSERT_EQ(labels[v], 0u);
 }
 
 }  // namespace

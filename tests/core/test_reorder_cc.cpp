@@ -76,7 +76,7 @@ TEST_P(ReorderCc, LabelsInvariantAcrossPoliciesAndBackends) {
   const struct {
     const char* name;
     bool canonical;
-  } algos[] = {{"shiloach-vishkin", true},
+  } algos[] = {{"lt-psa", true},
                {"serial-sf-rem", true},
                {"decomp-arb-hybrid", false},
                {"auto", false}};

@@ -51,13 +51,7 @@ TEST_P(OversubscribedWorkers, ParallelBaselinesRepeated) {
     ASSERT_TRUE(baselines::labels_equivalent(
         reference, baselines::parallel_sf_pbbs_components(g)));
     ASSERT_TRUE(baselines::labels_equivalent(
-        reference, baselines::parallel_sf_prm_components(g)));
-    ASSERT_TRUE(baselines::labels_equivalent(
-        reference, baselines::shiloach_vishkin_components(g)));
-    ASSERT_TRUE(baselines::labels_equivalent(
-        reference, baselines::awerbuch_shiloach_components(g)));
-    ASSERT_TRUE(baselines::labels_equivalent(
-        reference, baselines::random_mate_components(g, rep)));
+        reference, baselines::parallel_sf_rem_components(g)));
   }
 }
 

@@ -96,17 +96,11 @@ TEST_P(TsanBackends, ParallelBaselinesUnderContention) {
   const auto reference = baselines::serial_sf_components(g);
   for (int rep = 0; rep < 3; ++rep) {
     ASSERT_TRUE(baselines::labels_equivalent(
-        reference, baselines::shiloach_vishkin_components(g)));
-    ASSERT_TRUE(baselines::labels_equivalent(
-        reference, baselines::awerbuch_shiloach_components(g)));
-    ASSERT_TRUE(baselines::labels_equivalent(
-        reference, baselines::random_mate_components(g, rep)));
-    ASSERT_TRUE(baselines::labels_equivalent(
         reference, baselines::multistep_components(g)));
     ASSERT_TRUE(baselines::labels_equivalent(
         reference, baselines::parallel_sf_pbbs_components(g)));
     ASSERT_TRUE(baselines::labels_equivalent(
-        reference, baselines::parallel_sf_prm_components(g)));
+        reference, baselines::parallel_sf_rem_components(g)));
   }
 }
 

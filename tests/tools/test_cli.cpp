@@ -9,6 +9,7 @@
 #include <fstream>
 #include <string>
 
+#include "core/registry.hpp"
 #include "graph/io.hpp"
 #include "graph/stats.hpp"
 
@@ -88,16 +89,12 @@ TEST_F(CliTest, ComponentsAllAlgorithmsAgreeViaVerify) {
   ASSERT_EQ(run(tool("pcc_gen") + " --type random --n 800 --degree 2 --seed 5 " +
                 path("g.adj")),
             0);
-  for (const char* algo :
-       {"decomp-arb-hybrid", "decomp-arb", "decomp-min", "serial-sf",
-        "parallel-sf-prm", "parallel-sf-pbbs", "hybrid-bfs", "multistep",
-        "label-prop", "shiloach-vishkin", "random-mate",
-        "awerbuch-shiloach", "serial-sf-rem", "parallel-sf-rem",
-        "afforest"}) {
+  // Every registered entry, so the CLI's coverage follows the registry.
+  for (const cc::algorithm& algo : cc::algorithms()) {
     EXPECT_EQ(run(tool("pcc_components") + " " + path("g.adj") +
-                  " --algo " + algo + " --verify"),
+                  " --algo " + algo.name + " --verify"),
               0)
-        << algo;
+        << algo.name;
   }
 }
 

@@ -1,5 +1,5 @@
-// Fixture: policy-templated claim loops in the style of core/labeling.cpp —
-// the hook is selected by a template parameter and every branch funnels
+// Fixture: policy-templated claim loops (a Liu–Tarjan-style hook lattice)
+// — the hook is selected by a template parameter and every branch funnels
 // cross-thread writes through the atomics vocabulary. Must analyze clean:
 // the analyzer sees through `if constexpr` dispatch the same as plain code.
 #include <cstddef>
