@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the parallel primitives the
 // connectivity pipeline is built from: scan, pack, radix sort, random
-// permutation, hash-set dedup, BFS, and single decomposition calls.
+// permutation, hash-set dedup, BFS, the shift schedule, and single
+// decomposition calls.
 //
 // Besides the normal console output, the run is summarized as
 // results/BENCH_micro.json (median + min of the per-repetition real times;
@@ -14,6 +15,7 @@
 #include <map>
 
 #include "bench_common.hpp"
+#include "core/ldd_internal.hpp"
 #include "parallel/emit.hpp"
 #include "pcc.hpp"
 
@@ -178,6 +180,24 @@ void BM_DecompArbSingleCall(benchmark::State& state) {
       static_cast<int64_t>(state.iterations() * g.num_edges()));
 }
 BENCHMARK(BM_DecompArbSingleCall)->Arg(1 << 14)->Arg(1 << 17);
+
+// The exact Exp(beta) shift schedule alone, the bulk of a decomposition
+// level's `init` phase: the min-draw reduce, the bucket thresholds, the
+// counting pass and the scatter into round order. beta = 0.2 (the default).
+void BM_ShiftSchedule(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  ldd::options opt;
+  opt.beta = 0.2;
+  parallel::workspace ws;
+  for (auto _ : state) {
+    parallel::workspace::scope s(ws);
+    const ldd::internal::shift_schedule sched(n, opt, ws);
+    benchmark::DoNotOptimize(sched.batch(0));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_ShiftSchedule)->Arg(1 << 19)->Arg(1 << 21);
 
 // One-shot query, pinned to the engine's algorithm (not "auto", whose pick
 // can differ) so the pair with BM_CcEngineWarmRun isolates allocation.

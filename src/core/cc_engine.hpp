@@ -62,6 +62,9 @@ class cc_engine {
   void reserve(size_t n, size_t m);
 
   // Connected components of g with the decomposition opt.variant picks.
+  // g must be symmetric; both modes throw std::invalid_argument when an
+  // edge without its reverse reaches a contraction (see
+  // connected_components).
   // The returned span (size g.num_vertices()) points into the engine's
   // persistent arena. Results are identical to connected_components(g, opt)
   // with opt.algorithm = "decomp". The arenas are shaped by sizes, not

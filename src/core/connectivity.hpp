@@ -108,6 +108,11 @@ struct cc_stats {
 };
 
 // Algorithm 1: recursive decompose-contract-relabel connectivity.
+// g must be symmetric: every undirected edge stored in both directions, as
+// graph::from_edges and the edge-list reader build it (AdjacencyGraph and
+// binary files are read as stored). The decompose-contract algorithms throw
+// std::invalid_argument when an edge without its reverse reaches a
+// contraction; the other algorithms do not check it.
 std::vector<vertex_id> connected_components(const graph::graph& g,
                                             const cc_options& opt = {},
                                             cc_stats* stats = nullptr);

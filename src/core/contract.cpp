@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <type_traits>
 
 #include "graph/builder.hpp"
@@ -108,8 +109,6 @@ std::span<edge_id> contract_prelude(const ldd::work_graph& wg,
                                     parallel::workspace& persist_ws,
                                     parallel::workspace& scratch_ws) {
   const size_t n = wg.n;
-  std::span<const edge_id> V = wg.offsets;
-  std::span<const vertex_id> E = wg.edges;
   std::span<const vertex_id> D = wg.degrees;
 
   out.new_id = persist_ws.take<vertex_id>(n);
@@ -121,41 +120,56 @@ std::span<edge_id> contract_prelude(const ldd::work_graph& wg,
       scratch_ws);
   out.edges_before_dedup = total_kept;
 
-  // A cluster is non-singleton iff an inter-cluster edge touches it. Kept
-  // edges appear from both endpoints' sides, so flagging by source suffices;
-  // we flag the (already relabeled) target too for robustness. Concurrent
-  // same-value stores go through write_once (relaxed atomics) so the race
-  // is declared to the memory model.
-  std::span<uint8_t> has_edge = scratch_ws.take_zeroed<uint8_t>(n);
+  // A cluster survives (is non-singleton) iff an inter-cluster edge touches
+  // it. Kept edges are symmetric (contract_into's precondition), so that is
+  // iff one of its members kept an edge. The flag lands on the cluster's id,
+  // its center, so survives[c] != 0 exactly for the surviving centers.
+  // Concurrent same-value stores go through write_once (relaxed atomics) so
+  // the race is declared to the memory model.
+  std::span<uint8_t> survives = scratch_ws.take_zeroed<uint8_t>(n);
   parallel_for(0, n, [&](size_t v) {
-    if (D[v] > 0) parallel::write_once(&has_edge[cluster[v]], uint8_t{1});
-    const edge_id start = V[v];
-    for (vertex_id i = 0; i < D[v]; ++i) {
-      parallel::write_once(&has_edge[E[start + i]], uint8_t{1});
-    }
+    if (D[v] > 0) parallel::write_once(&survives[cluster[v]], uint8_t{1});
   });
 
-  // Assign contracted ids [0, k') to non-singleton clusters by prefix sum
-  // over their centers, and record the inverse map `rep`.
-  std::span<size_t> center_rank = scratch_ws.take<size_t>(n);
-  const size_t k = parallel::scan_exclusive_span<size_t>(
-      n,
-      [&](size_t c) {
-        return (cluster[c] == c && has_edge[c]) ? size_t{1} : size_t{0};
+  // Contracted ids [0, k') go to the surviving centers in id order: a
+  // blocked count pass, a scan over the block counts, and a blocked write
+  // pass that fills new_id and its inverse `rep` together.
+  constexpr size_t grain = parallel::kDefaultGrain;
+  const size_t nb = (n + grain - 1) / grain;
+  std::span<size_t> base = scratch_ws.take<size_t>(nb);
+  parallel_for(
+      0, nb,
+      [&](size_t b) {
+        const size_t end = std::min(n, (b + 1) * grain);
+        size_t roots = 0;
+        for (size_t c = b * grain; c < end; ++c) roots += survives[c];
+        base[b] = roots;
       },
-      center_rank, scratch_ws);
+      1);
+  size_t k = 0;
+  for (size_t b = 0; b < nb; ++b) {
+    const size_t roots = base[b];
+    base[b] = k;
+    k += roots;
+  }
   out.rep = persist_ws.take<vertex_id>(k);
   out.num_vertices = k;
-  parallel_for(0, n, [&](size_t c) {
-    if (cluster[c] == c && has_edge[c]) {
-      const vertex_id x = static_cast<vertex_id>(center_rank[c]);
-      out.new_id[c] = x;
-      // lint: private-write(center_rank is injective on surviving centers)
-      out.rep[x] = static_cast<vertex_id>(c);
-    } else {
-      out.new_id[c] = kNoVertex;
-    }
-  });
+  parallel_for(
+      0, nb,
+      [&](size_t b) {
+        const size_t end = std::min(n, (b + 1) * grain);
+        size_t x = base[b];
+        for (size_t c = b * grain; c < end; ++c) {
+          const bool root = survives[c] != 0;
+          // lint: private-write(block b owns ids [b*grain, end))
+          out.new_id[c] = root ? static_cast<vertex_id>(x) : kNoVertex;
+          if (root) {
+            // lint: private-write(block b owns rep slots [base[b], base[b+1]))
+            out.rep[x++] = static_cast<vertex_id>(c);
+          }
+        }
+      },
+      1);
   return gather_off;
 }
 
@@ -166,6 +180,11 @@ uint64_t pair_of(const witness_pair& r) { return r.pair; }
 // new target id) pairs, each with its slot's witness when Rec is
 // witness_pair. Targets were relabeled to cluster ids during the
 // decomposition; sources are relabeled here via the vertex's own cluster.
+// A kept edge into a cluster that kept none of its own has no contracted
+// id: the graph was not symmetric (contract_into's precondition). That is
+// checked here, where the target's id is read anyway, and reported before
+// any contracted id is used, so an asymmetric input fails with an error
+// instead of an out-of-range id in the next level.
 template <typename Rec>
 std::span<Rec> gather_kept(const ldd::work_graph& wg,
                            std::span<const vertex_id> cluster,
@@ -174,13 +193,16 @@ std::span<Rec> gather_kept(const ldd::work_graph& wg,
                            std::span<const uint64_t> witness, edge_id total,
                            parallel::workspace& ws) {
   std::span<Rec> recs = ws.take<Rec>(total);
+  uint8_t no_reverse = 0;
   parallel_for(0, wg.n, [&](size_t v) {
     const vertex_id src = new_id[cluster[v]];
     const edge_id start = wg.offsets[v];
     const edge_id base = gather_off[v];
+    bool orphan = false;
     for (vertex_id i = 0; i < wg.degrees[v]; ++i) {
       const vertex_id tgt = new_id[wg.edges[start + i]];
-      assert(src != kNoVertex && tgt != kNoVertex && src != tgt);
+      orphan |= tgt == kNoVertex;
+      assert(src != kNoVertex && src != tgt);
       const uint64_t pair = (static_cast<uint64_t>(src) << 32) | tgt;
       Rec rec;
       if constexpr (std::is_same_v<Rec, witness_pair>) {
@@ -191,7 +213,13 @@ std::span<Rec> gather_kept(const ldd::work_graph& wg,
       // lint: private-write(v owns the slice [gather_off[v], gather_off[v+1]))
       recs[base + i] = rec;
     }
+    if (orphan) parallel::write_once(&no_reverse, uint8_t{1});
   });
+  if (no_reverse != 0) {
+    throw std::invalid_argument(
+        "connectivity: the graph is not symmetric (an edge's reverse is "
+        "missing); store every undirected edge in both directions");
+  }
   return recs;
 }
 

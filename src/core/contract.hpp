@@ -85,7 +85,14 @@ struct witness_pair {
 // arrays, the packed pair array, the dedup hash table — into `scratch_ws`,
 // rewound before returning. Requires the post-decomposition invariant: for
 // each v, the first wg.degrees[v] adjacency entries are its inter-cluster
-// edges with targets relabeled to cluster ids.
+// edges with targets relabeled to cluster ids. The kept edges must also be
+// symmetric: when u keeps its edge to w, w keeps its edge to u. Every
+// decomposition guarantees this, because it keeps an edge exactly when its
+// endpoints' final labels differ, provided the input graph is symmetric.
+// Contraction relies on it: a cluster survives exactly when one of its own
+// members kept an edge. A kept edge into a cluster that kept none (which
+// only an asymmetric input graph produces) makes contract_into throw
+// std::invalid_argument.
 contraction_view contract_into(const ldd::work_graph& wg,
                                std::span<const vertex_id> cluster, bool dedup,
                                parallel::workspace& persist_ws,

@@ -68,6 +68,9 @@ void save_graph(const graph& g, const std::string& path,
 //   <m edge targets, one per line>
 // Throws std::runtime_error on malformed input (including offsets[0] != 0,
 // which would silently orphan edges before the first vertex's range).
+// Symmetry is not checked here (that would take a transpose of the edges);
+// the connectivity algorithms need it, and the decompose-contract ones
+// reject a missing reverse edge when they meet one.
 graph read_adjacency_graph(const std::string& path, const io_options& opt = {});
 void write_adjacency_graph(const graph& g, const std::string& path);
 

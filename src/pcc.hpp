@@ -25,12 +25,10 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "graph/edge_map.hpp"
 #include "graph/io.hpp"
 #include "graph/reorder.hpp"
 #include "graph/stats.hpp"
 #include "graph/subgraph.hpp"
-#include "graph/vertex_subset.hpp"
 #include "parallel/arena.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/hash_map.hpp"

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <vector>
 
 #include "test_helpers.hpp"
@@ -222,6 +223,37 @@ TEST(CcEngine, ReusableAcrossDifferentGraphs) {
     EXPECT_EQ(cc::num_components(copy), p.expected_components)
         << "probe " << pi;
   }
+}
+
+// Contraction needs a symmetric graph (contract_into's precondition). A
+// CSR whose only edges are 2i -> 2i+1 keeps, for some pair, an edge into a
+// cluster that kept none of its own; every decomposition and the forest
+// mode must report that instead of writing an unassigned contracted id,
+// and the engine must stay usable afterwards.
+TEST(CcEngine, AsymmetricGraphThrowsAndEngineStaysUsable) {
+  constexpr size_t kPairs = 2000;
+  std::vector<edge_id> offsets(2 * kPairs + 1);
+  std::vector<vertex_id> edges;
+  for (size_t v = 0; v < 2 * kPairs; ++v) {
+    offsets[v] = edges.size();
+    if (v % 2 == 0) edges.push_back(static_cast<vertex_id>(v + 1));
+  }
+  offsets[2 * kPairs] = edges.size();
+  const graph::graph g(std::move(offsets), std::move(edges));
+  cc::cc_engine engine;
+  for (const auto variant :
+       {cc::decomp_variant::kArbHybrid, cc::decomp_variant::kArb,
+        cc::decomp_variant::kMin}) {
+    cc::cc_options opt;
+    opt.variant = variant;
+    EXPECT_THROW(engine.run(g, opt), std::invalid_argument)
+        << cc::variant_name(variant);
+  }
+  EXPECT_THROW(engine.run_forest(g, {}), std::invalid_argument);
+  const graph::graph ok = graph::random_graph(3000, 4, 9);
+  const std::span<const vertex_id> labels = engine.run(ok, {});
+  const std::vector<vertex_id> copy(labels.begin(), labels.end());
+  EXPECT_TRUE(baselines::is_valid_components_labeling(ok, copy));
 }
 
 TEST(CcEngine, EmptyAndTrivialInputs) {

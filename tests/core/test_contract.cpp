@@ -269,6 +269,44 @@ TEST(Contract, WorksAfterEachDecompositionVariant) {
   }
 }
 
+TEST(Contract, NewIdAndRepMatchSerialReferenceAcrossBlocks) {
+  // Many 2048-vertex blocks, so the blocked count and write passes hand
+  // contracted ids across block boundaries. Reference: a cluster survives
+  // iff a kept edge leaves or enters it, and surviving centers take ids in
+  // increasing vertex order.
+  for (const graph::graph& g :
+       {graph::grid3d_graph(50000, true, 21), graph::line_graph(40000)}) {
+    work_graph wg = work_graph::from(g);
+    ldd::options opt;
+    opt.beta = 0.5;
+    const ldd::result dec = ldd::decomp_arb_hybrid(wg, opt, nullptr);
+    const size_t n = wg.n;
+    std::vector<uint8_t> survives(n, 0);
+    for (size_t v = 0; v < n; ++v) {
+      for (vertex_id i = 0; i < wg.degrees[v]; ++i) {
+        survives[dec.cluster[v]] = 1;
+        survives[wg.edges[wg.offsets[v] + i]] = 1;
+      }
+    }
+    std::vector<vertex_id> new_id(n, kNoVertex);
+    std::vector<vertex_id> rep;
+    for (size_t c = 0; c < n; ++c) {
+      if (dec.cluster[c] == c && survives[c]) {
+        new_id[c] = static_cast<vertex_id>(rep.size());
+        rep.push_back(static_cast<vertex_id>(c));
+      }
+    }
+    // More surviving centers than blocks.
+    ASSERT_GT(rep.size(), 2 * n / parallel::kDefaultGrain);
+    for (const int workers : {1, 4}) {
+      parallel::scoped_workers w(workers);
+      const contraction con = contract(wg, dec, true);
+      EXPECT_EQ(con.new_id, new_id) << "T=" << workers;
+      EXPECT_EQ(con.rep, rep) << "T=" << workers;
+    }
+  }
+}
+
 TEST(Contract, WitnessOverloadMatchesLabelsAndKeepsMinRankWitness) {
   // The witness overload must build the labels-only overload's CSR, and on
   // both dedup routes keep, per contracted pair, the witness of the kept

@@ -39,6 +39,20 @@ class CliTest : public ::testing::Test {
     return WEXITSTATUS(status);
   }
 
+  // Runs `cmd` and returns its standard output.
+  static std::string output_of(const std::string& cmd) {
+    std::string out;
+    FILE* pipe = ::popen((cmd + " 2>/dev/null").c_str(), "r");
+    if (pipe == nullptr) return out;
+    char buf[4096];
+    size_t got;
+    while ((got = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+      out.append(buf, got);
+    }
+    ::pclose(pipe);
+    return out;
+  }
+
   static std::string tool(const std::string& name) {
     return std::string(PCC_TOOLS_DIR) + "/" + name;
   }
@@ -83,6 +97,29 @@ TEST_F(CliTest, ComponentsEndToEndWithVerifyAndLabels) {
   std::string line;
   while (std::getline(in, line)) ++lines;
   EXPECT_EQ(lines, 1024u);
+}
+
+TEST_F(CliTest, StatsPrintPhasesOfTheLastRun) {
+  ASSERT_EQ(run(tool("pcc_gen") + " --type line --n 5000 " + path("g.adj")), 0);
+  const std::string out =
+      output_of(tool("pcc_components") + " " + path("g.adj") +
+                " --algo decomp-arb-hybrid --repeat 3 --stats");
+  const size_t levels = out.find("\nlevels:\n");
+  const size_t phases = out.find("\nphases:");
+  ASSERT_NE(levels, std::string::npos) << out;
+  ASSERT_NE(phases, std::string::npos) << out;
+  EXPECT_LT(levels, phases);
+  const size_t eol = out.find('\n', phases + 1);
+  const std::string line = out.substr(phases + 1, eol - phases - 1);
+  for (const char* field : {" init=", " contractGraph=", " sum=", " wall=",
+                            "(ms)"}) {
+    EXPECT_NE(line.find(field), std::string::npos) << field << " in " << line;
+  }
+  // The phases of one run add up to no more than its wall time.
+  const double sum = std::stod(line.substr(line.find(" sum=") + 5));
+  const double wall = std::stod(line.substr(line.find(" wall=") + 6));
+  EXPECT_GT(sum, 0.0);
+  EXPECT_LE(sum, wall * 1.01 + 0.01);
 }
 
 TEST_F(CliTest, ComponentsAllAlgorithmsAgreeViaVerify) {
@@ -199,6 +236,24 @@ TEST_F(CliTest, CorruptBinaryFailsWithDiagnostic) {
             0);
   fs::resize_file(path("t.badj"), fs::file_size(path("t.badj")) / 2);
   EXPECT_EQ(run(tool("pcc_components") + " " + path("t.badj")), 1);
+}
+
+TEST_F(CliTest, AsymmetricAdjacencyGraphFailsWithDiagnostic) {
+  // A well-formed AdjacencyGraph whose edges 2i -> 2i+1 have no reverse:
+  // the reader accepts it, and the decomposition must reject it when it
+  // contracts, with exit code 1 and a message on stderr.
+  constexpr size_t kPairs = 2000;
+  {
+    std::ofstream f(path("d.adj"));
+    f << "AdjacencyGraph\n" << 2 * kPairs << "\n" << kPairs << "\n";
+    for (size_t v = 0; v < 2 * kPairs; ++v) f << (v + 1) / 2 << "\n";
+    for (size_t i = 0; i < kPairs; ++i) f << 2 * i + 1 << "\n";
+  }
+  const std::string cmd = tool("pcc_components") + " " + path("d.adj") +
+                          " --algo decomp-arb-hybrid";
+  EXPECT_EQ(run(cmd), 1);
+  const std::string err = output_of("{ " + cmd + " 2>&1; }");
+  EXPECT_NE(err.find("not symmetric"), std::string::npos) << err;
 }
 
 TEST_F(CliTest, RepeatModeUsesEngine) {

@@ -73,7 +73,6 @@ PARALLEL_CONTEXTS: dict[str, int | None] = {
     "pack_index_into": 0,
     "pack_into": 0,
     "filter_into": 0,
-    "edge_map": None,
 }
 
 # The atomics.hpp vocabulary (plus std::atomic member spellings): a store

@@ -43,6 +43,9 @@ constexpr const char kUsage[] =
     "               repeat on the relabeled CSR, and maps the labels back —\n"
     "               the relabel cost is reported separately, amortized over\n"
     "               --repeat. Output labels are always original vertex ids.\n"
+    "  --stats      print the I/O phases, the per-level sizes and where the\n"
+    "               last run's time went: a `phases:` line with each phase,\n"
+    "               their sum and that run's wall time, in ms.\n"
     "  --verbose    print the probed graph statistics and which algorithm\n"
     "               `auto` selected.\n"
     "  --serial-io  use the reference serial loaders instead of the\n"
@@ -153,7 +156,7 @@ int run(int argc, char** argv) {
   for (int r = 0; r < repeat; ++r) {
     parallel::timer t;
     cc::run_algorithm(*algorithm, *run_g, opt, ws, labels,
-                      want_stats && r == 0 ? &stats : nullptr);
+                      want_stats && r == repeat - 1 ? &stats : nullptr);
     times[static_cast<size_t>(r)] = t.elapsed();
     if (repeat > 1) {
       std::printf("run %d: %.4fs\n", r, times[static_cast<size_t>(r)]);
@@ -165,6 +168,7 @@ int run(int argc, char** argv) {
     graph::map_labels_to_original(labels, rr.perm, rr.inv, original);
     labels.swap(original);
   }
+  const double last_elapsed = times.back();
   std::sort(times.begin(), times.end());
   const double elapsed = times[times.size() / 2];
   if (repeat > 1) {
@@ -200,6 +204,16 @@ int run(int argc, char** argv) {
       std::printf("  %zu: n=%zu m=%zu clusters=%zu rounds=%zu\n", i, ls.n,
                   ls.m, ls.num_clusters, ls.bfs_rounds);
     }
+  }
+  if (args.has("stats")) {
+    // Where the last run's time went: each phase, their sum and the wall
+    // time of that run (ms).
+    std::printf("phases:");
+    for (const auto& [phase, secs] : stats.phases.phases()) {
+      std::printf(" %s=%.3f", phase.c_str(), 1e3 * secs);
+    }
+    std::printf(" sum=%.3f wall=%.3f (ms)\n", 1e3 * stats.phases.total(),
+                1e3 * last_elapsed);
   }
 
   if (args.has("verify")) {
