@@ -289,9 +289,7 @@ cc_engine::forest_result cc_engine::run_levels(const graph::graph& g,
       parallel_for(0, n0, [&](size_t v) { labels[v] = base[v]; });
     }
   }
-  if (stats != nullptr) {
-    stats->phases.add("contractGraph", relabel_timer.elapsed());
-  }
+  if (stats != nullptr) stats->phases.add("lift", relabel_timer.elapsed());
   if constexpr (kWitness) {
     // Publish the forest as unpacked (u, v) pairs. Determinism makes
     // forest_count identical run to run, so after warm-up the resize stays

@@ -73,9 +73,12 @@ class cc_engine {
   std::span<const vertex_id> run(const graph::graph& g, const cc_options& opt,
                                  cc_stats* stats = nullptr);
 
-  // Labels and a spanning forest in one pass, through the witness-carrying
-  // two-phase decomposition (opt.variant does not apply; opt.dedup_route
-  // steers the witness-preserving dedup).
+  // Labels and a spanning forest in one pass, through the witness mode of
+  // Decomp-Arb-Hybrid, whose claims go to the minimum-rank proposal (one
+  // proposal pass per sparse round plus a pack; the closing filterEdges
+  // resolves the adjacencies) so the forest does not depend on the worker
+  // count (opt.variant does not apply; opt.dedup_route steers the
+  // witness-preserving dedup).
   forest_result run_forest(const graph::graph& g, const cc_options& opt,
                            cc_stats* stats = nullptr);
 

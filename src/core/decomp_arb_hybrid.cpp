@@ -18,7 +18,8 @@
 // cache-friendly and needs no atomics, but it leaves the edges of that
 // round's frontier undetermined, so a post-processing pass (filterEdges)
 // resolves the edges of every vertex that was never processed in a
-// write-based round. A run with no dense round skips the pass.
+// write-based round. A labels-mode run with no dense round skips the pass
+// (the witness mode at more than one worker always runs it, see below).
 //
 // Dense rounds iterate a *shrinking* unvisited list instead of rescanning
 // all n vertices every round, and test frontier membership against a
@@ -37,9 +38,18 @@
 // witnesses alongside the kept edges, and appends each claim edge's
 // witness to the spanning forest. Unlike the labels mode, whose CAS races
 // are benign because ANY claimer yields correct components, a forest edge's
-// identity depends on WHICH claim wins, so the witness mode resolves claims
-// deterministically and the forest is a pure function of (graph, options),
-// identical across worker counts and scheduler backends.
+// identity depends on WHICH claim wins, so the witness mode gives every
+// claimed vertex to its first proposal in frontier order and the forest is
+// a pure function of (graph, options), identical across worker counts and
+// scheduler backends. At one worker that is first arrival. At more, a
+// sparse round is ONE pass over the frontier edges that writes no label
+// and moves no edge: each proposal folds its rank into claim[w] and stages
+// a record; a pack then keeps the minimum-rank record per target, in
+// flattened order, and only then are the labels set. Every adjacency is
+// left raw, and the closing filterEdges pass, which then runs over every
+// vertex, resolves it through the final labels — with the same result as
+// resolving each slot inside its round, since labels never change once
+// set.
 
 #include <type_traits>
 
@@ -57,13 +67,17 @@ using parallel::cas;
 using parallel::parallel_for;
 using parallel::timer;
 
-// A resolved claim from one witness-mode BFS round: the claimed vertex
-// (joins the next frontier) and the witness of the claiming edge (joins
-// the forest).
+// A claim proposal from one witness-mode BFS round: the unvisited target
+// (joins the next frontier if the proposal wins), the proposer's label
+// (w's label if it wins) and the witness of the proposing edge (joins the
+// forest if it wins). Its rank is the staging slot it sits in, so the
+// record needs no rank field and stays 16 bytes.
 struct claim_rec {
   vertex_id w;
+  vertex_id label;
   uint64_t witness;
 };
+static_assert(sizeof(claim_rec) == 16);
 
 // Decomp-Arb's options: a dense cutoff of n, which no frontier exceeds.
 options without_dense_rounds(options opt) {
@@ -107,12 +121,20 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
   // Bit-packed frontier membership for the dense (pull) rounds.
   const size_t num_words = (n + 63) / 64;
   std::span<uint64_t> on_frontier = ws.take<uint64_t>(num_words);
+  // At one worker the witness mode claims on first arrival and needs no
+  // ranks (see the sparse round).
+  const bool serial = parallel::num_workers() <= 1;
+  // Whether the sparse rounds leave every adjacency raw for filterEdges
+  // (the witness mode at more than one worker; see the sparse round).
+  const bool propose_only = kWitness && !serial;
   // The union of the dense rounds' frontier bitmaps. A vertex on it was on
   // a dense round's frontier, so no write-based round compacted/relabeled
   // its adjacency; filterEdges does. Every vertex is on exactly one round's
   // frontier, so the rest are resolved, and the sparse rounds never touch
-  // this bitmap.
-  std::span<uint64_t> unresolved = ws.take_zeroed<uint64_t>(num_words);
+  // this bitmap. When the sparse rounds only propose, filterEdges takes
+  // every vertex and the bitmap is neither taken nor updated.
+  std::span<uint64_t> unresolved;
+  if (!propose_only) unresolved = ws.take_zeroed<uint64_t>(num_words);
   // Shrinking list of still-unvisited vertices, maintained lazily: built at
   // the first dense round, compacted (pure two-pass, so the order stays
   // ascending) at each one after that.
@@ -127,11 +149,10 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
   const char* const sparse_phase =
       dense_cutoff >= n ? "bfsMain" : "bfsSparse";
   // Sparse rounds emit the claimed vertices straight into `next`, or, in
-  // witness mode, claim records into `claims` (one round can claim up to
-  // n vertices). claim[] holds the proposal ranks and dense_wit the witness
-  // each vertex was pulled through. At one worker the witness mode claims
-  // on first arrival and needs no ranks (see the sparse round).
-  const bool serial = parallel::num_workers() <= 1;
+  // witness mode, claim records into `claims` (the pack keeps one record
+  // per claimed vertex, so a round fills at most n). claim[] holds the
+  // proposal ranks and dense_wit the witness each vertex was pulled
+  // through.
   using claim_t = std::conditional_t<kWitness, claim_rec, vertex_id>;
   std::span<claim_rec> claims;
   std::span<uint64_t> claim;
@@ -139,8 +160,9 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
   if constexpr (kWitness) {
     claims = ws.take<claim_rec>(n);
     // ~0 is the write_min identity; initialized once (no reset across
-    // rounds: claim[w] is only consulted while C[w] is unvisited, and a
-    // vertex is claimed at most once).
+    // rounds: only unvisited vertices receive proposals, and every vertex
+    // that receives one is claimed in that same round, so claim[w] is
+    // written and read in one round only).
     if (!serial) claim = ws.take_filled<uint64_t>(n, ~uint64_t{0});
     dense_wit = ws.take<uint64_t>(n);
   }
@@ -190,10 +212,12 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
         const vertex_id v = frontier[i];
         parallel::fetch_or(&on_frontier[v >> 6], uint64_t{1} << (v & 63));
       });
-      parallel_for(0, num_words, [&](size_t w) {
-        // lint: private-write(iteration w owns word w)
-        unresolved[w] |= on_frontier[w];
-      });
+      if (!propose_only) {
+        parallel_for(0, num_words, [&](size_t w) {
+          // lint: private-write(iteration w owns word w)
+          unresolved[w] |= on_frontier[w];
+        });
+      }
       // Pull: only the still-unvisited vertices scan for a frontier
       // neighbour (the early exit keeps hub scans short, so this loop
       // stays at vertex granularity). v adopts the FIRST frontier
@@ -245,139 +269,150 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
     } else {
       // Write-based (sparse) round: Decomp-Arb's round.
       //
-      // The witness mode resolves claims in two phases per round:
-      //   A (propose) — every frontier edge (fi, i) -> w with C[w] still
-      //     unvisited folds its rank (fi << 32 | i) into claim[w] with an
-      //     atomic write_min. C is not written, so the racy reads are
-      //     stable.
-      //   B (resolve) — the edge whose rank equals claim[w] claims w
-      //     (atomic store of its label) and emits the claim; every other
-      //     edge resolves w's label deterministically: if it reads the
-      //     winner's store it uses that, otherwise it computes the same
-      //     value as C[frontier[claim[w] >> 32]] (claim[w] is stable after
-      //     phase A, and frontier labels predate the round). Both sides of
-      //     that race yield the identical label, so the kept/dropped
-      //     decision and the compacted adjacency are deterministic.
-      // At one worker, phase A is skipped and phase B claims on first
-      // arrival: the serial traversal meets edges in flattened order, so
-      // the first proposer IS the minimum rank and the outcome matches the
-      // two-phase protocol exactly.
+      // The witness mode at more than one worker makes ONE pass over the
+      // frontier edges, and it writes no label and moves no edge: an edge
+      // (fi, i) -> w with C[w] unvisited folds its rank into claim[w] with
+      // an atomic write_min and stages a proposal record {w, label,
+      // witness}. Nothing writes C during the pass, so every read of it is
+      // stable. The rank is the record's staging slot (emitter::slot()):
+      // distinct per proposal and increasing in flattened edge order, so
+      // its minimum picks the same claimer as the minimum of
+      // (fi << 32) | i — the first proposal in frontier order — and names
+      // the record itself. Once every chunk has finished, frontier_edge_for
+      // packs only the records whose rank equals the final claim[w], in
+      // flattened order; each winner then sets C[w] and joins the next
+      // frontier and the forest. The frontier's adjacency stays raw, and
+      // the closing filterEdges pass resolves it.
+      // At one worker the pass claims on first arrival and compacts in
+      // place instead: the serial traversal meets edges in flattened
+      // order, so the first proposer IS the minimum rank. There the
+      // one-pass round has no barrier to save, and its records, pack and
+      // whole-graph closing pass made a one-worker forest query 18–42%
+      // slower (EXPERIMENTS.md, "One-pass forest round").
       parallel::workspace::scope round_scope(ws);
       const auto deg_of = [&](size_t fi) { return D[frontier[fi]]; };
-      // Look-ahead for the round's dependent misses: a frontier vertex's
-      // V, D and C lines, then its first edge line.
-      const parallel::csr_lookahead ahead(frontier, V, E.data(), D.data(),
-                                          C.data());
+      parallel::frontier_result run;
       if constexpr (kWitness) {
-        if (!serial) {
-          // Phase A: no writes to C, no compaction — partial pieces need
-          // no stitching. It reads only V and the edges per vertex.
-          parallel::frontier_edge_for(
-              frontier_size, deg_of, ws,
-              [&](size_t fi, uint32_t jlo, uint32_t jhi,
-                  uint32_t) -> uint32_t {
+        if (propose_only) {
+          // Look-ahead for the pass's dependent misses: a frontier
+          // vertex's V, C and claim[] lines (its neighbours' claim[] on a
+          // local graph; the write_min is a locked op that stalls on a
+          // miss), then its first edge line.
+          const parallel::csr_lookahead ahead(frontier, V, E.data(),
+                                              C.data(), claim.data());
+          run = parallel::frontier_edge_for<claim_rec>(
+              frontier_size, deg_of, claims, ws,
+              [&](size_t fi, uint32_t jlo, uint32_t jhi, uint32_t,
+                  parallel::emitter<claim_rec>& em) -> uint32_t {
                 const vertex_id v = frontier[fi];
+                const vertex_id my_label = C[v];
                 const edge_id start = V[v];
                 for (uint32_t i = jlo; i < jhi; ++i) {
                   const vertex_id w = E[start + i];
-                  if (atomic_load(&C[w]) == kNoVertex) {
-                    parallel::write_min(
-                        &claim[w], (static_cast<uint64_t>(fi) << 32) | i);
+                  if (C[w] == kNoVertex) {
+                    parallel::write_min(&claim[w], uint64_t{em.slot()});
+                    em({w, my_label, slot_witness(v, w, start + i)});
                   }
                 }
                 return 0;
               },
-              {}, parallel::csr_lookahead(frontier, V, E.data()));
+              {}, ahead,
+              [&](const claim_rec& r, size_t slot) {
+                return claim[r.w] == slot;
+              });
         }
       }
-      const std::span<claim_t> sink = [&] {
-        if constexpr (kWitness) {
-          return claims;
-        } else {
-          return next;
-        }
-      }();
-      const parallel::frontier_result run =
-          parallel::frontier_edge_for<claim_t>(
-              frontier_size, deg_of, sink, ws,
-              [&](size_t fi, uint32_t jlo, uint32_t jhi, uint32_t deg,
-                  parallel::emitter<claim_t>& em) -> uint32_t {
-                const vertex_id v = frontier[fi];
-                // Local raw pointers: the CAS is a compiler barrier that
-                // forces captured spans to be re-read every edge; a
-                // non-escaping local stays in a register across it.
-                vertex_id* const cl = C.data();
-                vertex_id* const ed = E.data();
-                const vertex_id my_label = cl[v];
-                const edge_id start = V[v];
-                uint32_t k = jlo;
-                for (uint32_t i = jlo; i < jhi; ++i) {
-                  const vertex_id w = ed[start + i];
-                  vertex_id w_label;
+      if (!propose_only) {
+        const std::span<claim_t> sink = [&] {
+          if constexpr (kWitness) {
+            return claims;
+          } else {
+            return next;
+          }
+        }();
+        run = parallel::frontier_edge_for<claim_t>(
+            frontier_size, deg_of, sink, ws,
+            [&](size_t fi, uint32_t jlo, uint32_t jhi, uint32_t deg,
+                parallel::emitter<claim_t>& em) -> uint32_t {
+              const vertex_id v = frontier[fi];
+              // Local raw pointers: the CAS is a compiler barrier that
+              // forces captured spans to be re-read every edge; a
+              // non-escaping local stays in a register across it.
+              vertex_id* const cl = C.data();
+              vertex_id* const ed = E.data();
+              const vertex_id my_label = cl[v];
+              const edge_id start = V[v];
+              uint32_t k = jlo;
+              for (uint32_t i = jlo; i < jhi; ++i) {
+                const vertex_id w = ed[start + i];
+                vertex_id w_label;
+                if constexpr (kWitness) {
+                  // One worker: the first arrival claims w; the claim
+                  // edge's witness joins the forest.
+                  w_label = atomic_load(&cl[w]);
+                  if (w_label == kNoVertex) {
+                    atomic_store(&cl[w], my_label);
+                    em({w, my_label, slot_witness(v, w, start + i)});
+                    continue;
+                  }
+                } else {
+                  if (atomic_load(&cl[w]) == kNoVertex &&
+                      cas(&cl[w], kNoVertex, my_label)) {
+                    em(w);
+                    continue;
+                  }
+                  w_label = atomic_load(&cl[w]);
+                }
+                if (w_label != my_label) {
+                  // lint: private-write(piece owns slots [jlo, jhi) of v)
+                  ed[start + k] = w_label;
                   if constexpr (kWitness) {
-                    w_label = atomic_load(&cl[w]);
-                    if (w_label == kNoVertex) {
-                      const uint64_t rank =
-                          (static_cast<uint64_t>(fi) << 32) | i;
-                      if (serial || claim[w] == rank) {
-                        // Rank winner: claim w; the claim edge's witness
-                        // joins the forest.
-                        atomic_store(&cl[w], my_label);
-                        em({w, slot_witness(v, w, start + i)});
-                        continue;
-                      }
-                      // Loser: the winner's label, from stable data.
-                      w_label = cl[frontier[claim[w] >> 32]];
-                    }
-                  } else {
-                    if (atomic_load(&cl[w]) == kNoVertex &&
-                        cas(&cl[w], kNoVertex, my_label)) {
-                      em(w);
-                      continue;
-                    }
-                    w_label = atomic_load(&cl[w]);
+                    // lint: private-write(same piece-subrange invariant)
+                    witness[start + k] = slot_witness(v, w, start + i);
                   }
-                  if (w_label != my_label) {
-                    // lint: private-write(piece owns slots [jlo, jhi) of v)
-                    ed[start + k] = w_label;
-                    if constexpr (kWitness) {
-                      // lint: private-write(same piece-subrange invariant)
-                      witness[start + k] = slot_witness(v, w, start + i);
-                    }
-                    ++k;
-                  }
+                  ++k;
                 }
-                if (jlo == 0 && jhi == deg) {
-                  // lint: private-write(whole-vertex piece: sole writer)
-                  D[v] = k;
-                }
-                return k - jlo;
-              },
-              {}, ahead);
-      parallel::fix_split_pieces(
-          run.partials,
-          [&](uint32_t fi, uint32_t dst, uint32_t src, uint32_t len) {
-            const edge_id start = V[frontier[fi]];
-            // lint: private-write(leader task owns entry fi's CSR slice)
-            std::copy(E.begin() + start + src, E.begin() + start + src + len,
-                      E.begin() + start + dst);
-            if constexpr (kWitness) {
-              // lint: private-write(same leader-owned slice, witness array)
-              std::copy(witness.begin() + start + src,
-                        witness.begin() + start + src + len,
-                        witness.begin() + start + dst);
-            }
-          },
-          [&](uint32_t fi, uint32_t kept) {
-            // lint: private-write(one leader task per split vertex)
-            D[frontier[fi]] = kept;
-          });
+              }
+              if (jlo == 0 && jhi == deg) {
+                // lint: private-write(whole-vertex piece: sole writer)
+                D[v] = k;
+              }
+              return k - jlo;
+            },
+            {},
+            // Look-ahead for the round's dependent misses: a frontier
+            // vertex's V, D and C lines, then its first edge line.
+            parallel::csr_lookahead(frontier, V, E.data(), D.data(),
+                                    C.data()));
+        parallel::fix_split_pieces(
+            run.partials,
+            [&](uint32_t fi, uint32_t dst, uint32_t src, uint32_t len) {
+              const edge_id start = V[frontier[fi]];
+              // lint: private-write(leader task owns entry fi's CSR slice)
+              std::copy(E.begin() + start + src,
+                        E.begin() + start + src + len,
+                        E.begin() + start + dst);
+              if constexpr (kWitness) {
+                // lint: private-write(same leader-owned slice, witness array)
+                std::copy(witness.begin() + start + src,
+                          witness.begin() + start + src + len,
+                          witness.begin() + start + dst);
+              }
+            },
+            [&](uint32_t fi, uint32_t kept) {
+              // lint: private-write(one leader task per split vertex)
+              D[frontier[fi]] = kept;
+            });
+      }
       if constexpr (kWitness) {
         parallel_for(0, run.emitted, [&](size_t i) {
+          const claim_rec r = claims[i];
           // lint: private-write(iteration i owns slot i of both outputs)
-          next[i] = claims[i].w;
+          next[i] = r.w;
           // lint: private-write(iteration i owns slot forest_count + i)
-          forest[forest_count + i] = claims[i].witness;
+          forest[forest_count + i] = r.witness;
+          // lint: private-write(the pack keeps one record per claimed w)
+          if (propose_only) C[r.w] = r.label;  // the pass wrote no label
         });
         forest_count += run.emitted;
       }
@@ -389,18 +424,23 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
   }
 
   // filterEdges: resolve the adjacency (and witness slice) of every vertex
-  // that was never processed write-based — the frontier vertices of the
-  // dense rounds, so a run without one skips the pass. Edge-balanced like
-  // the rounds themselves: an unresolved hub's scan is split across chunks
-  // instead of serializing the pass.
-  if (res.num_dense_rounds > 0) {
+  // whose adjacency no round compacted: the frontier vertices of the dense
+  // rounds and, in the witness mode at more than one worker, every vertex.
+  // Labels never change once set, so filtering a raw slot (v, w) through
+  // the final C decides it exactly as the round that met it would have: a
+  // target visited before that round keeps its label, and a target claimed
+  // in it carries the winner's label, which is v's own when v won, so the
+  // claim edge drops out. A run with no such vertex skips the pass.
+  // Edge-balanced like the rounds themselves: a hub's scan is split across
+  // chunks instead of serializing the pass.
+  if (res.num_dense_rounds > 0 || propose_only) {
     t.start();
     parallel::workspace::scope filter_scope(ws);
     const parallel::frontier_result run = parallel::frontier_edge_for(
         n, [&](size_t v) { return D[v]; }, ws,
         [&](size_t vi, uint32_t jlo, uint32_t jhi, uint32_t deg) -> uint32_t {
           const vertex_id v = static_cast<vertex_id>(vi);
-          if (((unresolved[v >> 6] >> (v & 63)) & 1) == 0) {
+          if (!propose_only && ((unresolved[v >> 6] >> (v & 63)) & 1) == 0) {
             // "Kept" the whole piece: fix_split_pieces then never moves
             // slots of a resolved vertex and republishes D[v] unchanged.
             return jhi - jlo;

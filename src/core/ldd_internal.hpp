@@ -378,8 +378,14 @@ inline graph::edge unpack_witness(uint64_t w) {
 // cc_engine::run_forest. `witness` parallels wg.edges; both are compacted
 // in place (targets relabeled to cluster ids), so the post-decomposition
 // state satisfies the witness contract_into overload's invariant. Claims
-// are resolved deterministically, and their witnesses are appended to
-// `forest` at forest_count, which is advanced.
+// are resolved deterministically — each target goes to its first proposal
+// in frontier order — and their witnesses are appended to `forest` at
+// forest_count, which is advanced. At more than one worker a sparse round
+// is one edge pass that only proposes (a write_min on the target's rank
+// and a staged record per proposal), then a pack that keeps the
+// minimum-rank record per target; no round compacts an adjacency, and the
+// closing filterEdges pass resolves every vertex's raw adjacency through
+// the final labels.
 // `identity_witness` (level 0 of the engine): incoming edge slots carry no
 // stored witness — the witness of slot (v, j) IS pack(v, raw_target) — so
 // the initial m-slot stamping sweep is skipped and `witness` is written

@@ -25,7 +25,10 @@
 //                      edge order, so the output is deterministic for
 //                      deterministic visit bodies — and independent of the
 //                      worker count, because positions come from scans, not
-//                      from racing cursors.
+//                      from racing cursors. An optional keep predicate
+//                      drops staged items once every chunk has finished
+//                      (the sparse BFS round's witness mode keeps only
+//                      the winning claim per vertex this way).
 //
 // A visit body that compacts a vertex's adjacency in place returns its
 // piece's kept count; pieces covering a whole vertex finalize that vertex
@@ -56,19 +59,34 @@ namespace pcc::parallel {
 
 // Writing emitter over a raw buffer: each chunk/block appends into its own
 // private staging range, so operator() is a plain store — no atomics.
+// `base` numbers the range's first slot within the whole traversal.
 template <typename T>
 class emitter {
  public:
-  explicit emitter(T* buf) : buf_(buf) {}
+  explicit emitter(T* buf, size_t base = 0) : buf_(buf), base_(base) {}
   void operator()(T item) {
     // lint: private-write(each emitter appends into its own staging range)
     buf_[n_++] = item;
   }
   size_t count() const { return n_; }
+  // The staging slot the next item lands in. Within one frontier_edge_for
+  // traversal, slots are distinct and increase in flattened edge order
+  // (chunk ranges leave gaps, so they are not dense); a keep predicate
+  // receives each item's slot back.
+  size_t slot() const { return base_ + n_; }
 
  private:
   T* buf_;
+  size_t base_;
   size_t n_ = 0;
+};
+
+// The default keep predicate of frontier_edge_for: every item stays.
+struct keep_all {
+  template <typename T>
+  bool operator()(const T&, size_t) const {
+    return true;
+  }
 };
 
 // Counting emitter: pass 1 of count_then_emit only tallies.
@@ -404,6 +422,22 @@ edge_split split_edges(size_t fs, Deg& deg_of, workspace& ws,
   return plan;
 }
 
+// Copy the items of src[0, count) that keep(item, base + j) accepts to
+// dst, in order; returns how many. dst may equal src (the copy runs
+// forward, never ahead of the read).
+template <typename T, typename Keep>
+size_t keep_items(const T* src, size_t count, size_t base, Keep& keep,
+                  T* dst) {
+  size_t k = 0;
+  for (size_t j = 0; j < count; ++j) {
+    if (keep(src[j], base + j)) {
+      // lint: private-write(each caller owns its own dst range)
+      dst[k++] = src[j];
+    }
+  }
+  return k;
+}
+
 }  // namespace detail
 
 // Edge-balanced frontier traversal with emission.
@@ -423,18 +457,27 @@ edge_split split_edges(size_t fs, Deg& deg_of, workspace& ws,
 //
 // The chunk staging capacity equals the chunk width, so a body may emit at
 // most one item per adjacency slot it covers.
+//
+// `keep(item, slot)` runs once per emitted item after every chunk has
+// finished (so it may read what any visit wrote), with the item's
+// emitter::slot(); only accepted items reach `out`, still in flattened
+// edge order, so `out` needs room for the kept items alone.
 template <typename T, typename Deg, typename Visit,
-          typename Ahead = no_lookahead>
+          typename Ahead = no_lookahead, typename Keep = keep_all>
 frontier_result frontier_edge_for(size_t fs, Deg&& deg_of, std::span<T> out,
                                   workspace& ws, Visit&& visit,
                                   frontier_edge_opts opt = {},
-                                  Ahead&& ahead = Ahead{}) {
+                                  Ahead&& ahead = Ahead{},
+                                  Keep&& keep = Keep{}) {
+  constexpr bool kKeepAll = std::is_same_v<std::decay_t<Keep>, keep_all>;
   frontier_result res;
   if (fs == 0) return res;
-  if (opt.edges_per_chunk == 0 && num_workers() <= 1) {
+  if (kKeepAll && opt.edges_per_chunk == 0 && num_workers() <= 1) {
     // Serial fast path: visit whole entries in frontier order — already
     // flattened edge order, so the output is identical to the chunked
-    // path's — and skip the degree scan entirely.
+    // path's — and skip the degree scan entirely. (With a keep predicate
+    // the single-chunk path below runs instead: the scanned total sizes
+    // its staging.)
     emitter<T> em(out.data());
     detail::lookahead_cursor cursor(ahead, fs);
     cursor.start(0);
@@ -458,8 +501,12 @@ frontier_result frontier_edge_for(size_t fs, Deg&& deg_of, std::span<T> out,
   workspace::scope s(ws);
 
   if (nchunks == 1) {
-    // Single chunk: emit straight into `out`, record partials in place.
-    emitter<T> em(out.data());
+    // Single chunk: emit straight into `out` (or, when a keep predicate may
+    // drop more than `out` holds, into staging), record partials in place.
+    T* const dst = kKeepAll || total <= out.size()
+                       ? out.data()
+                       : ws.take<T>(total).data();
+    emitter<T> em(dst);
     emitter<frontier_piece> pem(partials.data());
     detail::walk_chunk(plan.off, fs, 0, total, ahead,
                        [&](size_t fi, uint32_t jlo, uint32_t jhi,
@@ -470,8 +517,10 @@ frontier_result frontier_edge_for(size_t fs, Deg&& deg_of, std::span<T> out,
                            pem({static_cast<uint32_t>(fi), jlo, jhi, v});
                          }
                        });
-    assert(em.count() <= out.size());
-    res.emitted = em.count();
+    res.emitted = kKeepAll ? em.count()
+                           : detail::keep_items(dst, em.count(), 0, keep,
+                                                out.data());
+    assert(res.emitted <= out.size());
     res.partials = partials.first(pem.count());
     return res;
   }
@@ -485,7 +534,7 @@ frontier_result frontier_edge_for(size_t fs, Deg&& deg_of, std::span<T> out,
       [&](size_t c) {
         const edge_id lo = static_cast<edge_id>(c) * chunk;
         const edge_id hi = std::min<edge_id>(total, lo + chunk);
-        emitter<T> em(stage.data() + c * chunk);
+        emitter<T> em(stage.data() + c * chunk, c * chunk);
         emitter<frontier_piece> pem(pstage.data() + 2 * c);
         detail::walk_chunk(plan.off, fs, lo, hi, ahead,
                            [&](size_t fi, uint32_t jlo, uint32_t jhi,
@@ -501,6 +550,18 @@ frontier_result frontier_edge_for(size_t fs, Deg&& deg_of, std::span<T> out,
         pcounts[c] = pem.count();  // lint: private-write(chunk c owns slot c)
       },
       1);
+  if constexpr (!kKeepAll) {
+    // Every chunk has finished: filter each chunk's staging in place.
+    parallel_for(
+        0, nchunks,
+        [&](size_t c) {
+          T* const items = stage.data() + c * chunk;
+          // lint: private-write(chunk c owns slot c and its staging range)
+          counts[c] = detail::keep_items(items, counts[c], c * chunk, keep,
+                                         items);
+        },
+        1);
+  }
   size_t etotal = 0;
   size_t ptotal = 0;
   for (size_t c = 0; c < nchunks; ++c) {

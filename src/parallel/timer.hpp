@@ -32,7 +32,8 @@ class timer {
 // Accumulates time into named phases. The decomposition implementations
 // report into one of these so benches can print the same breakdown bars the
 // paper plots (init / bfsPre / bfsPhase1 / bfsPhase2 / bfsMain / bfsSparse /
-// bfsDense / filterEdges / contractGraph).
+// bfsDense / filterEdges / contractGraph), plus the engine's `lift`
+// (RELABELUP, the way back down the level stack).
 class phase_timer {
  public:
   void add(const std::string& phase, double seconds) { phases_[phase] += seconds; }

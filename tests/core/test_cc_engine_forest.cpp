@@ -4,7 +4,7 @@
 //   (1) run_forest() agrees with the one-shot API and with connectivity
 //       (forest valid, labels the same partition as the oracle);
 //   (2) the forest and the labels are bit-identical across worker counts
-//       and scheduler backends (the two-phase claim protocol's whole
+//       and scheduler backends (the minimum-rank claim rule's whole
 //       point), and stable across repeated runs of a warm engine;
 //   (3) after warm-up, run_forest() converges to zero heap allocation
 //       (global operator-new hook, same discipline as test_cc_engine.cpp);
@@ -26,6 +26,8 @@
 #include "core/cc_engine.hpp"
 #include "core/registry.hpp"
 #include "core/spanning_forest.hpp"
+#include "graph/builder.hpp"
+#include "parallel/random.hpp"
 #include "test_helpers.hpp"
 
 // ---------------------------------------------------------------------------
@@ -186,51 +188,98 @@ TEST(CcEngineForest, ValidOnCorpusBothBackends) {
   }
 }
 
+// A multigraph: a sparse random graph whose edges each appear once or
+// twice, plus hub 0 with two to four parallel edges to each of 3000
+// neighbours (a hub split across chunks with duplicate targets in
+// different chunks) and vertex 1 with five parallel edges to vertex 2.
+graph::graph parallel_edge_multigraph() {
+  const size_t n = 6000;
+  graph::edge_list edges;
+  const parallel::rng r(41);
+  for (size_t i = 0; i < 3 * n; ++i) {
+    const auto u = static_cast<vertex_id>(r.bounded(3 * i, n));
+    const auto w = static_cast<vertex_id>(r.bounded(3 * i + 1, n));
+    const size_t copies = 1 + (r[3 * i + 2] & 1);
+    for (size_t c = 0; c < copies; ++c) edges.push_back({u, w});
+  }
+  for (vertex_id w = 1; w <= 3000; ++w) {
+    for (size_t c = 0; c < 2 + w % 3; ++c) edges.push_back({0, w});
+  }
+  for (int c = 0; c < 5; ++c) edges.push_back({1, 2});
+  graph::build_options bopt;
+  bopt.remove_duplicates = false;
+  return graph::from_edges(n, std::move(edges), bopt);
+}
+
 TEST(CcEngineForest, ForestAndLabelsIdenticalAcrossWorkersAndBackends) {
   // The determinism contract: forest AND labels are a pure function of
   // (graph, options) — bit-identical across worker counts and scheduler
-  // backends. This is what the two-phase claim resolution buys; a CAS
-  // free-for-all would pass every validity check above and still fail
-  // here.
+  // backends. This is what the minimum-rank claim rule buys: at more than
+  // one worker the sparse round's pack keeps the first proposal in
+  // frontier order, which is the proposal a one-worker run claims on
+  // first arrival. A CAS free-for-all would pass every validity check
+  // above and still fail here.
   const struct {
     const char* name;
     graph::graph g;
+    bool dedup;
   } cases[] = {
-      {"rmat", graph::rmat_graph(8192, 40000, 29)},
-      {"random_multi", graph::random_graph(8000, 2, 5)},
-      {"grid3d", graph::grid3d_graph(4096, true, 5)},
+      {"rmat", graph::rmat_graph(8192, 40000, 29), true},
+      {"random_multi", graph::random_graph(8000, 2, 5), true},
+      {"grid3d", graph::grid3d_graph(4096, true, 5), true},
+      // Many sparse rounds per level and at least four levels, so the
+      // stored-witness levels (above level 0) run the one-pass round too.
+      {"line", graph::line_graph(1 << 16), true},
+      // One hub on every sparse round's frontier: its adjacency is split
+      // across chunks inside a single round.
+      {"star", graph::star_graph(20000), true},
+      // Parallel edges, kept at every level when dedup is off: one
+      // frontier vertex proposes the same target from several slots.
+      {"multigraph", parallel_edge_multigraph(), false},
   };
-  cc_options opt;
-  opt.seed = 12345;
   for (const auto& c : cases) {
-    // Baseline: one worker, OpenMP.
-    std::vector<graph::edge> base_forest;
-    std::vector<vertex_id> base_labels;
-    {
-      parallel::scoped_workers one(1);
-      cc_engine engine;
-      const forest_result r = engine.run_forest(c.g, opt);
-      base_forest.assign(r.forest.begin(), r.forest.end());
-      base_labels.assign(r.labels.begin(), r.labels.end());
-    }
-    for (auto b :
-         {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
-      parallel::scoped_backend guard(b);
-      for (int workers : {1, 2, 3, 4, 8}) {
-        parallel::scoped_workers w(workers);
+    // 1.0: no dense round, every claim goes through the sparse pack;
+    // 0.2: the default; 0.02: dense and sparse rounds mixed.
+    for (const double dense : {1.0, 0.2, 0.02}) {
+      cc_options opt;
+      opt.seed = 12345;
+      opt.dense_threshold = dense;
+      opt.dedup = c.dedup;
+      const std::string name =
+          std::string(c.name) + " dense=" + std::to_string(dense);
+      // Baseline: one worker, OpenMP.
+      std::vector<graph::edge> base_forest;
+      std::vector<vertex_id> base_labels;
+      {
+        parallel::scoped_workers one(1);
         cc_engine engine;
-        const forest_result r = engine.run_forest(c.g, opt);
-        const std::string what =
-            std::string(c.name) + " workers=" + std::to_string(workers) +
-            " backend=" +
-            (b == parallel::backend::kThreadPool ? "pool" : "openmp");
-        ASSERT_EQ(r.forest.size(), base_forest.size()) << what;
-        for (size_t i = 0; i < base_forest.size(); ++i) {
-          ASSERT_EQ(r.forest[i], base_forest[i]) << what << " edge " << i;
+        cc::cc_stats stats;
+        const forest_result r = engine.run_forest(c.g, opt, &stats);
+        base_forest.assign(r.forest.begin(), r.forest.end());
+        base_labels.assign(r.labels.begin(), r.labels.end());
+        expect_valid_forest(c.g, r.forest);
+        if (std::string(c.name) == "line") {
+          ASSERT_GE(stats.levels.size(), 4u) << name;
         }
-        ASSERT_EQ(r.labels.size(), base_labels.size()) << what;
-        for (size_t v = 0; v < base_labels.size(); ++v) {
-          ASSERT_EQ(r.labels[v], base_labels[v]) << what << " vertex " << v;
+      }
+      for (auto b :
+           {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
+        parallel::scoped_backend guard(b);
+        for (int workers : {1, 2, 3, 4, 8}) {
+          parallel::scoped_workers w(workers);
+          cc_engine engine;
+          const forest_result r = engine.run_forest(c.g, opt);
+          const std::string what =
+              name + " workers=" + std::to_string(workers) + " backend=" +
+              (b == parallel::backend::kThreadPool ? "pool" : "openmp");
+          ASSERT_EQ(r.forest.size(), base_forest.size()) << what;
+          for (size_t i = 0; i < base_forest.size(); ++i) {
+            ASSERT_EQ(r.forest[i], base_forest[i]) << what << " edge " << i;
+          }
+          ASSERT_EQ(r.labels.size(), base_labels.size()) << what;
+          for (size_t v = 0; v < base_labels.size(); ++v) {
+            ASSERT_EQ(r.labels[v], base_labels[v]) << what << " vertex " << v;
+          }
         }
       }
     }

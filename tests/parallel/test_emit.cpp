@@ -607,6 +607,157 @@ TEST(FrontierEdgeForLookahead, CsrLookaheadLeavesCompactionUnchanged) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// frontier_edge_for's keep predicate
+
+// An emitted item that remembers the slot it was emitted at.
+struct slotted {
+  uint64_t item;
+  uint64_t slot;
+};
+
+// The kept stream is the unfiltered stream filtered in order, at every
+// worker count, chunk width and backend; keep sees each item once, with
+// the slot the body read from emitter::slot(); slots are distinct and
+// increase along the stream; and `out` needs room for the kept items
+// alone (it is sized exactly, so an overrun fails under ASan).
+TEST(FrontierEdgeForKeep, KeptStreamIsUnfilteredStreamFilteredInOrder) {
+  for (const std::vector<uint32_t>& degs : lookahead_frontiers()) {
+    const size_t fs = degs.size();
+    const size_t total =
+        std::accumulate(degs.begin(), degs.end(), size_t{0});
+    const auto deg_of = [&](size_t fi) { return degs[fi]; };
+    const auto body = [](size_t fi, uint32_t jlo, uint32_t jhi, uint32_t,
+                         emitter<slotted>& em) -> uint32_t {
+      for (uint32_t j = jlo; j < jhi; ++j) {
+        if ((fi + j) % 3 != 0) {
+          em({(static_cast<uint64_t>(fi) << 32) | j, em.slot()});
+        }
+      }
+      return 0;
+    };
+    const auto wanted = [](uint64_t item) {
+      return (item ^ (item >> 32)) % 4 != 1;
+    };
+    // Reference: the unfiltered stream, one worker, serial path.
+    std::vector<uint64_t> unfiltered;
+    {
+      scoped_workers one(1);
+      workspace ws;
+      std::vector<slotted> out(total);
+      const size_t k = parallel::frontier_edge_for<slotted>(
+                           fs, deg_of, std::span<slotted>(out), ws, body)
+                           .emitted;
+      for (size_t i = 0; i < k; ++i) unfiltered.push_back(out[i].item);
+    }
+    std::vector<uint64_t> expect;
+    for (const uint64_t x : unfiltered) {
+      if (wanted(x)) expect.push_back(x);
+    }
+    for (const backend b : kBackends) {
+      scoped_backend bg(b);
+      for (const int workers : {1, 2, 4}) {
+        scoped_workers wg(workers);
+        for (const size_t chunk :
+             {size_t{0}, size_t{1}, size_t{7}, size_t{64}, size_t{2048}}) {
+          const std::string where =
+              "fs " + std::to_string(fs) + " backend " +
+              std::to_string(static_cast<int>(b)) + " workers " +
+              std::to_string(workers) + " chunk " + std::to_string(chunk);
+          // Every slot is below nchunks * chunk <= 2 * total.
+          std::vector<uint64_t> at_slot(2 * total + 1, ~uint64_t{0});
+          std::vector<uint32_t> calls(2 * total + 1, 0);
+          uint32_t bad = 0;
+          workspace ws;
+          std::vector<slotted> out(expect.size());
+          const frontier_result run = parallel::frontier_edge_for<slotted>(
+              fs, deg_of, std::span<slotted>(out), ws, body,
+              frontier_edge_opts{chunk}, parallel::no_lookahead{},
+              [&](const slotted& x, size_t slot) {
+                if (slot != x.slot || slot >= at_slot.size()) {
+                  parallel::fetch_add(&bad, 1u);
+                  return false;
+                }
+                at_slot[slot] = x.item;
+                parallel::fetch_add(&calls[slot], 1u);
+                return wanted(x.item);
+              });
+          ASSERT_EQ(bad, 0u) << where;
+          ASSERT_EQ(run.emitted, expect.size()) << where;
+          for (size_t k = 0; k < expect.size(); ++k) {
+            ASSERT_EQ(out[k].item, expect[k]) << where << " pos " << k;
+          }
+          // Read in slot order, the items keep saw are the unfiltered
+          // stream, each seen exactly once.
+          std::vector<uint64_t> seen;
+          for (size_t slot = 0; slot < at_slot.size(); ++slot) {
+            ASSERT_LE(calls[slot], 1u) << where << " slot " << slot;
+            if (calls[slot] == 1) seen.push_back(at_slot[slot]);
+          }
+          ASSERT_EQ(seen, unfiltered) << where;
+        }
+      }
+    }
+  }
+}
+
+// keep runs after every chunk has finished: a predicate that reads state
+// the visits wrote sees all of it. Here the visits fold each item's slot
+// into a per-target minimum; keeping the records whose slot is that
+// minimum leaves exactly the first proposal per target, in stream order —
+// the sparse BFS round's claim rule.
+TEST(FrontierEdgeForKeep, MinimumSlotPerTargetKeepsFirstProposal) {
+  const std::vector<uint32_t> degs = lookahead_frontiers().back();
+  const size_t fs = degs.size();
+  const size_t total = std::accumulate(degs.begin(), degs.end(), size_t{0});
+  const size_t targets = 97;
+  const auto target_of = [&](size_t fi, uint32_t j) {
+    return static_cast<uint32_t>((fi * 31 + j / 2) % targets);
+  };
+  std::vector<uint32_t> expect;
+  {
+    std::vector<bool> taken(targets, false);
+    for (size_t fi = 0; fi < fs; ++fi) {
+      for (uint32_t j = 0; j < degs[fi]; ++j) {
+        const uint32_t t = target_of(fi, j);
+        if (!taken[t]) {
+          taken[t] = true;
+          expect.push_back(t);
+        }
+      }
+    }
+  }
+  for (const backend b : kBackends) {
+    scoped_backend bg(b);
+    for (const lookahead_config cfg : kLookaheadConfigs) {
+      scoped_workers wg(cfg.workers);
+      std::vector<uint64_t> best(targets, ~uint64_t{0});
+      workspace ws;
+      std::vector<uint32_t> out(targets);
+      const frontier_result run = parallel::frontier_edge_for<uint32_t>(
+          fs, [&](size_t fi) { return degs[fi]; },
+          std::span<uint32_t>(out), ws,
+          [&](size_t fi, uint32_t jlo, uint32_t jhi, uint32_t,
+              emitter<uint32_t>& em) -> uint32_t {
+            for (uint32_t j = jlo; j < jhi; ++j) {
+              const uint32_t t = target_of(fi, j);
+              parallel::write_min(&best[t], uint64_t{em.slot()});
+              em(t);
+            }
+            return 0;
+          },
+          frontier_edge_opts{cfg.chunk}, parallel::no_lookahead{},
+          [&](uint32_t t, size_t slot) { return best[t] == slot; });
+      ASSERT_LE(run.emitted, total);
+      const std::vector<uint32_t> got(out.begin(),
+                                      out.begin() + run.emitted);
+      ASSERT_EQ(got, expect)
+          << "backend " << static_cast<int>(b) << " workers " << cfg.workers
+          << " chunk " << cfg.chunk;
+    }
+  }
+}
+
 TEST(FixSplitPieces, EmptyIsNoOp) {
   parallel::fix_split_pieces(
       std::span<const frontier_piece>{},

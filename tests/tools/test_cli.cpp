@@ -111,8 +111,8 @@ TEST_F(CliTest, StatsPrintPhasesOfTheLastRun) {
   EXPECT_LT(levels, phases);
   const size_t eol = out.find('\n', phases + 1);
   const std::string line = out.substr(phases + 1, eol - phases - 1);
-  for (const char* field : {" init=", " contractGraph=", " sum=", " wall=",
-                            "(ms)"}) {
+  for (const char* field : {" init=", " contractGraph=", " lift=", " sum=",
+                            " wall=", "(ms)"}) {
     EXPECT_NE(line.find(field), std::string::npos) << field << " in " << line;
   }
   // The phases of one run add up to no more than its wall time.

@@ -17,7 +17,8 @@ catalog):
                             iteration-order-dependent hash traversal inside
                             parallel bodies and registry run_* impls, and
                             static locals (neither constexpr nor
-                            thread_local) inside parallel bodies.
+                            thread_local) and throw expressions inside
+                            parallel bodies.
 
 Plus the annotation audit: `// lint: private-write(<invariant>)` must carry
 non-empty text and anchor a store expression; `// analyze: suppress(check:
@@ -124,6 +125,7 @@ CHECK_NAMES = [
     "rand-time-in-parallel",
     "hash-iteration-order",
     "static-in-parallel",
+    "throw-in-parallel",
     "orphaned-annotation",
     "empty-annotation",
     "unused-suppression",
@@ -1186,6 +1188,18 @@ class Analyzer:
                         "initialization serializes; use static constexpr, "
                         "thread_local, or hoist it out", fn, region)
 
+        if region is not None:
+            for t in _throw_expressions(body):
+                self.report(
+                    ctx, t.line, t.col, "throw-in-parallel",
+                    f"throw inside {where}: a forked region terminates on "
+                    "an escaping exception, while the same body run inline "
+                    "(one worker, a range of one grain, or a nested "
+                    "region) propagates it to the caller, so the outcome "
+                    "depends on input size and worker count; validate "
+                    "before the region and report failures through a flag "
+                    "or a reduction", fn, region)
+
         # call-level
         for call in cppast.find_calls(body):
             if call.name in RAND_TIME_CALLS and call.base in (None, "std"):
@@ -1318,6 +1332,21 @@ class Analyzer:
                         f"suppression for [{a.check}] matched no finding; "
                         "stale suppressions hide future regressions — "
                         "remove it")
+
+
+def _throw_expressions(nodes: list) -> list:
+    """The `throw` tokens under `nodes` that start a throw expression:
+    every one but the empty exception specification `throw()`."""
+    out = []
+    for k, x in enumerate(nodes):
+        if x.is_group():
+            out.extend(_throw_expressions(x.kids))
+        elif x.kind == "id" and x.text == "throw":
+            nxt = nodes[k + 1] if k + 1 < len(nodes) else None
+            if not (nxt is not None and nxt.is_group() and
+                    nxt.opener == "(" and not nxt.kids):
+                out.append(x)
+    return out
 
 
 def _body_decls(body: list) -> dict[str, Decl]:

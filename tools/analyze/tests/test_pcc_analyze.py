@@ -89,7 +89,8 @@ class MarkedFixtureTests(unittest.TestCase):
 
     def test_bad_lines_draw_exactly_one_finding(self):
         for name in ("bad_raw_store.cpp", "bad_policy_template.cpp",
-                     "bad_cursor_scatter.cpp", "bad_banned_constructs.cpp"):
+                     "bad_cursor_scatter.cpp", "bad_banned_constructs.cpp",
+                     "bad_throw_in_parallel.cpp"):
             with self.subTest(fixture=name):
                 findings = active(analyze(name))
                 self.assertEqual([f.line for f in findings], bad_lines(name),
@@ -282,6 +283,16 @@ class HygieneTests(unittest.TestCase):
         self.assertIn("static int counter",
                       line_text("bad_banned_constructs.cpp",
                                 statics[0].line))
+
+    def test_throw_expressions(self):
+        # throw, rethrow and a throw in a lambda nested in the body are
+        # flagged; throw outside the region, noexcept and the empty
+        # specification throw() are not.
+        findings = active(analyze("bad_throw_in_parallel.cpp"))
+        self.assertEqual(by_check(findings), ["throw-in-parallel"] * 3)
+        findings = analyze("good_throw_in_parallel.cpp")
+        self.assertEqual(findings, [],
+                         msg="\n".join(f.message for f in findings))
 
     def test_legacy_allow_marker_waives_static(self):
         findings = analyze_source("""

@@ -1,13 +1,16 @@
 // pcc_fuzz: differential testing harness. Generates random graphs across
 // generator families and sizes, runs EVERY algorithm in the cc::algorithm
-// registry (including the Liu–Tarjan variants and "auto") plus the
+// registry (including the Liu–Tarjan variant and "auto") plus the
 // spanning forest, and cross-checks all of them against the sequential BFS
-// oracle. Exits non-zero (and prints a reproducer) on the first mismatch.
+// oracle; the spanning forest and its labels must also match a one-worker
+// rerun exactly. Exits non-zero (and prints a reproducer) on the first
+// mismatch.
 //
 //   pcc_fuzz --trials 200 --max-n 5000 --seed 1
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -87,6 +90,10 @@ int main(int argc, char** argv) try {
   // every algorithm re-runs over a warm arena shaped by earlier graphs.
   cc::algo_workspace ws;
   std::vector<vertex_id> labels;
+  // The determinism check's engines: one run at the default worker count,
+  // one at a single worker.
+  cc::cc_engine sf_engine;
+  cc::cc_engine sf_engine_1t;
 
   parallel::rng gen(base_seed);
   size_t checks = 0;
@@ -135,6 +142,31 @@ int main(int argc, char** argv) try {
                     static_cast<unsigned long long>(u),
                     static_cast<unsigned long long>(w), kind_name(kind), n,
                     static_cast<unsigned long long>(seed));
+        return 1;
+      }
+    }
+    ++checks;
+
+    // Determinism: the forest and the labels are a pure function of
+    // (graph, options), so a one-worker rerun must reproduce both exactly.
+    // A free-for-all claim rule would pass every check above and fail here.
+    {
+      const cc::cc_options opt = options_for("spanning-forest", seed);
+      const int workers = parallel::num_workers();
+      const cc::cc_engine::forest_result many = sf_engine.run_forest(g, opt);
+      const parallel::scoped_workers one(1);
+      const cc::cc_engine::forest_result single =
+          sf_engine_1t.run_forest(g, opt);
+      const auto same = [](auto a, auto b) {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+      };
+      if (!same(many.forest, std::span<const graph::edge>(forest)) ||
+          !same(single.forest, many.forest) ||
+          !same(single.labels, many.labels)) {
+        std::printf("FOREST NOT DETERMINISTIC on %s n=%zu seed=%llu "
+                    "(%d workers vs 1)\n",
+                    kind_name(kind), n, static_cast<unsigned long long>(seed),
+                    workers);
         return 1;
       }
     }
