@@ -45,8 +45,8 @@ struct cc_options {
   // "auto" (the default) probes the graph and picks via core/select.hpp;
   // "decomp" pins the decompose-contract pipeline configured by `variant`
   // and the knobs below; any registered name ("decomp-arb-hybrid",
-  // "serial-sf", "lt-psa", ...) pins that algorithm. Unknown names make
-  // connected_components throw std::invalid_argument.
+  // "serial-sf", "parallel-sf-rem", ...) pins that algorithm. Unknown names
+  // make connected_components throw std::invalid_argument.
   std::string algorithm = "auto";
   // beta must lie in (0, 1); the linear-work guarantee for the Arb variants
   // needs beta < 1/2 (Theorem 2), and the paper's sweet spot is 0.05-0.2.

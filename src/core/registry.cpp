@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "baselines/baselines.hpp"
-#include "core/labeling.hpp"
 #include "core/select.hpp"
 #include "graph/reorder.hpp"
 #include "parallel/atomics.hpp"
@@ -64,12 +63,6 @@ void run_spanning_forest(const graph::graph& g, const cc_options& opt,
       ws.engine.run_forest(g, engine_options(opt), stats);
   copy_labels(r.labels, out);
   ws.last_forest = r.forest;
-}
-
-// --- Liu–Tarjan labeling (the selector's pick on forest-like inputs) ----
-void run_lt_psa(const graph::graph& g, const cc_options&, algo_workspace& ws,
-                std::span<vertex_id> out, cc_stats*) {
-  liu_tarjan_into(g, out, ws.scratch);
 }
 
 // --- workspace-backed baselines ----------------------------------------
@@ -247,10 +240,6 @@ std::vector<algorithm> build_table() {
       false, false, false, &run_multistep);
   add("afforest", "sampled neighbour rounds + giant-component skip (Afforest)",
       true, true, true, &run_afforest);
-
-  add("lt-psa",
-      "Liu-Tarjan labeling: parent hook, single shortcut, altered edges",
-      true, false, true, &run_lt_psa);
   return t;
 }
 
@@ -263,10 +252,6 @@ const std::vector<algorithm>& table() {
 
 void algo_workspace::reserve(size_t n, size_t m) {
   engine.reserve(n, m);
-  // Worst scratch customer is an alter-mode labeling run: two m-sized
-  // packed-pair ping-pong buffers plus emission block counts.
-  scratch.reserve(2 * sizeof(parallel::packed_pair) * m +
-                  8 * sizeof(vertex_id) * n);
   bfs.ensure(n);
 }
 

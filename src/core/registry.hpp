@@ -1,7 +1,7 @@
 // The cc::algorithm registry: every connectivity implementation in the
-// library — the decompose-contract pipeline, all of src/baselines/, the
-// Liu–Tarjan labeling family, and the "auto" selector — behind one
-// descriptor with a common workspace-backed run signature.
+// library — the decompose-contract pipeline, all of src/baselines/ and the
+// "auto" selector — behind one descriptor with a common workspace-backed
+// run signature.
 //
 // The registry exists so the CLI (`pcc_components --algo`), the fuzz
 // driver, and the benches enumerate ONE table instead of each keeping its
@@ -33,8 +33,9 @@ namespace pcc::cc {
 
 // Reusable execution state shared by every registered algorithm: one
 // engine for the decomp-* family and the spanning-forest pipeline (labels
-// and forest queries share its arenas), BFS scratch for the hybrid sweeps, and a workspace arena for everything
-// else (labeling edge buffers, union-find locks, the selector's probe).
+// and forest queries share its arenas), BFS scratch for the hybrid sweeps,
+// and a workspace arena for everything else (union-find locks, Afforest's
+// samples, the selector's probe, the reorder wrapper's relabeling).
 struct algo_workspace {
   cc_engine engine;
   baselines::bfs_scratch bfs;

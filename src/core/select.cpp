@@ -218,9 +218,8 @@ const char* select_algorithm(const probe_stats& ps, int num_workers) {
   // Edgeless graphs: every labeling algorithm degenerates to iota; the
   // sequential spanning forest gets there with the least ceremony.
   if (ps.n == 0 || ps.m == 0) return "serial-sf-rem";
-  // High-diameter inputs (paths, meshes): BFS-depth algorithms and the
-  // labeling family degrade with the diameter; the union-find variants
-  // are depth-insensitive.
+  // High-diameter inputs (paths, meshes): BFS-depth algorithms degrade
+  // with the diameter; the union-find variants are depth-insensitive.
   if (ps.diameter_proxy >= kHighDiameterProxy) {
     return num_workers > 1 ? "parallel-sf-rem" : "serial-sf-rem";
   }
@@ -253,9 +252,10 @@ const char* select_algorithm(const probe_stats& ps, int num_workers) {
     return "serial-sf-rem";
   }
   // Very sparse scattered graphs (forest-like, avg undirected degree
-  // ~<= 1): the Liu-Tarjan parent/alter kernel converges in a couple of
-  // cheap rounds and its altered edge list collapses immediately.
-  if (ps.avg_degree <= 2.0 && !ps.large_component) return "lt-psa";
+  // ~<= 1): one parallel union-find pass over the few edges is about twice
+  // as fast as any other registered algorithm at 4 workers
+  // (results/BENCH_ablation.json, "rMat-sparse").
+  if (ps.avg_degree <= 2.0 && !ps.large_component) return "parallel-sf-rem";
   // Everything else — the "average" case the paper optimizes — goes to
   // the decompose-contract pipeline.
   return "decomp-arb-hybrid";

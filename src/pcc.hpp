@@ -17,7 +17,6 @@
 #include "core/connectivity.hpp"
 #include "core/contract.hpp"
 #include "core/forest_index.hpp"
-#include "core/labeling.hpp"
 #include "core/registry.hpp"
 #include "core/select.hpp"
 #include "core/ldd.hpp"

@@ -133,7 +133,6 @@ TEST(Registry, TableLooksSane) {
       "hybrid-bfs",         // Table 2 row; select pick
       "multistep",          // Table 2 row
       "afforest",           // select pick
-      "lt-psa",             // select pick
   };
   std::vector<std::string> names;
   for (const cc::algorithm& a : algos) names.emplace_back(a.name);

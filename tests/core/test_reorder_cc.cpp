@@ -71,12 +71,13 @@ TEST_P(ReorderCc, LabelsInvariantAcrossPoliciesAndBackends) {
   const graph::graph g = GetParam().make();
   const size_t n = g.num_vertices();
 
-  // One canonical algorithm (min labels — exact equality must hold), one
-  // representative-label algorithm (partition equality), plus "auto".
+  // Canonical algorithms (min labels — exact equality must hold), one
+  // multi-worker and one sequential, a representative-label algorithm
+  // (partition equality), plus "auto".
   const struct {
     const char* name;
     bool canonical;
-  } algos[] = {{"lt-psa", true},
+  } algos[] = {{"parallel-sf-rem", true},
                {"serial-sf-rem", true},
                {"decomp-arb-hybrid", false},
                {"auto", false}};

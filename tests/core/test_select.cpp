@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
 #include <vector>
 
 #include "test_helpers.hpp"
@@ -96,6 +98,40 @@ TEST(Select, EveryPickIsRegisteredAndScheduleDeterministic) {
 TEST(Select, HighDiameterAvoidsDepthBoundAlgorithms) {
   const cc::probe_stats line = probe(graph::line_graph(50000));
   EXPECT_STREQ(cc::select_algorithm(line, 8), "parallel-sf-rem");
+}
+
+TEST(Select, SparseGiantFreeGoesToUnionFind) {
+  // Average degree 0.5 with no giant component: one union-find pass over
+  // the few edges, parallel when there is more than one worker.
+  const graph::graph g = graph::rmat_graph(1 << 16, 1 << 14, 5);
+  const cc::probe_stats ps = probe(g);
+  ASSERT_LE(ps.avg_degree, 2.0);
+  ASSERT_FALSE(ps.large_component);
+  ASSERT_LT(ps.diameter_proxy, 8.0);
+  for (int workers : {2, 4, 8}) {
+    EXPECT_STREQ(cc::select_algorithm(ps, workers), "parallel-sf-rem")
+        << workers << " workers";
+  }
+  EXPECT_STREQ(cc::select_algorithm(ps, 1), "serial-sf-rem");
+
+  // End to end at four workers: the pick's labels are the component minima
+  // (auto clamps the workers to the cores, so a one-core host runs
+  // serial-sf-rem, which emits the same labels).
+  const parallel::scoped_workers four(4);
+  cc::cc_stats stats;
+  const std::vector<vertex_id> labels =
+      cc::connected_components(g, {}, &stats);
+  if (std::thread::hardware_concurrency() > 1) {
+    EXPECT_STREQ(stats.algorithm, "parallel-sf-rem");
+  }
+  const std::vector<vertex_id> oracle = baselines::serial_sf_components(g);
+  std::vector<vertex_id> minima(oracle.size(), kNoVertex);
+  for (size_t v = 0; v < oracle.size(); ++v) {
+    minima[oracle[v]] = std::min(minima[oracle[v]], static_cast<vertex_id>(v));
+  }
+  for (size_t v = 0; v < oracle.size(); ++v) {
+    ASSERT_EQ(labels[v], minima[oracle[v]]) << "vertex " << v;
+  }
 }
 
 TEST(Select, AutoEndToEndMatchesReference) {
