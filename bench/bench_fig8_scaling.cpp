@@ -1,7 +1,6 @@
 // Figure 8 of the paper: running time of decomp-arb-hybrid-CC versus
 // problem size for random graphs with m = 5n (part 1), and versus thread
-// count on both scheduler backends (part 2 — the paper's actual figure 8
-// axis, 1..40 cores there).
+// count (part 2 — the paper's actual figure 8 axis, 1..40 cores there).
 //
 // Shape expectations: near-linear growth in m (the algorithm is
 // linear-work), and speedup tracking the thread count up to the physical
@@ -142,70 +141,56 @@ int main() {
                 size_ratio, time_ratio);
   }
 
-  // --- Part 2: thread scaling, both scheduler backends --------------------
-  // One graph at the sweep's top size, every (backend, threads) pair from
+  // --- Part 2: thread scaling ---------------------------------------------
+  // One graph at the sweep's top size, every thread count from
   // sweep_thread_counts(). Trials are interleaved round-robin across
   // configurations (with a rotating start, like bench_ablation section e)
   // so thermal / frequency drift lands evenly on every configuration
   // instead of biasing whichever ran last; one untimed warm-up round grows
   // the engine's workspace for the largest chunk count first.
   std::printf("\nFigure 8 (scaling axis): decomp-arb-hybrid-CC time vs "
-              "threads x backend (random, m = 5n)\n");
+              "threads (random, m = 5n)\n");
   const size_t n_threads_graph = std::max<size_t>(m_max / 5, 16);
   const graph::graph gt = graph::random_graph(n_threads_graph, 5, 91);
   const std::string gt_name =
       "random-m" + std::to_string(gt.num_undirected_edges());
 
-  struct sweep_config {
-    parallel::backend backend;
-    int threads;
-  };
-  std::vector<sweep_config> configs;
-  for (const parallel::backend b :
-       {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
-    for (const int t : sweep_thread_counts()) configs.push_back({b, t});
-  }
+  const std::vector<int> thread_counts = sweep_thread_counts();
 
-  std::vector<std::vector<double>> times(configs.size());
+  std::vector<std::vector<double>> times(thread_counts.size());
   const int trials = num_trials();
   for (int round = -1; round < trials; ++round) {
-    for (size_t i = 0; i < configs.size(); ++i) {
+    for (size_t i = 0; i < thread_counts.size(); ++i) {
       const size_t c = (i + static_cast<size_t>(std::max(round, 0))) %
-                       configs.size();
-      const parallel::scoped_backend bg(configs[c].backend);
-      const parallel::scoped_workers wg(configs[c].threads);
+                       thread_counts.size();
+      const parallel::scoped_workers wg(thread_counts[c]);
       parallel::timer timer;
       (void)engine.run(gt, opt);
       if (round >= 0) times[c].push_back(timer.elapsed());
     }
   }
 
-  std::printf("%8s %8s %12s %12s %10s\n", "backend", "threads", "median (s)",
-              "min (s)", "speedup");
+  std::printf("%8s %12s %12s %10s\n", "threads", "median (s)", "min (s)",
+              "speedup");
   std::vector<bench_record> thread_records;
-  std::vector<double> base_median(2, 0);  // per backend, at threads = 1
-  for (size_t c = 0; c < configs.size(); ++c) {
+  double base_median = 0;  // at threads = 1
+  for (size_t c = 0; c < thread_counts.size(); ++c) {
     std::sort(times[c].begin(), times[c].end());
     time_stats ts;
     ts.median_s = times[c][times[c].size() / 2];
     ts.min_s = times[c].front();
     ts.reps = static_cast<int>(times[c].size());
-    const size_t bi =
-        configs[c].backend == parallel::backend::kThreadPool ? 1 : 0;
-    if (configs[c].threads == 1) base_median[bi] = ts.median_s;
+    if (thread_counts[c] == 1) base_median = ts.median_s;
     const double speedup =
-        ts.median_s > 0 && base_median[bi] > 0 ? base_median[bi] / ts.median_s
-                                               : 0;
-    std::printf("%8s %8d %12.4f %12.4f %9.2fx\n",
-                backend_name(configs[c].backend), configs[c].threads,
-                ts.median_s, ts.min_s, speedup);
+        ts.median_s > 0 && base_median > 0 ? base_median / ts.median_s : 0;
+    std::printf("%8d %12.4f %12.4f %9.2fx\n", thread_counts[c], ts.median_s,
+                ts.min_s, speedup);
     bench_record rec;
     rec.kernel = "decomp-arb-hybrid-CC";
     rec.graph = gt_name;
     rec.stats = ts;
     rec.algorithm = "decomp-arb-hybrid";
-    rec.threads = configs[c].threads;
-    rec.backend = backend_name(configs[c].backend);
+    rec.threads = thread_counts[c];
     thread_records.push_back(std::move(rec));
   }
   // Note: PCC_BENCH_JSON redirects *every* write_bench_json call in a

@@ -7,9 +7,9 @@
 // sf-engine-warm within 1.2x of cc-engine-warm on the same graph.
 //
 // Every row lands in results/BENCH_sf.json (PCC_BENCH_JSON overrides the
-// path, =off suppresses it) with threads / backend / git-sha provenance,
+// path, =off suppresses it) with threads / git-sha provenance,
 // so the witness-overhead trajectory is tracked across commits next to
-// BENCH_micro. PCC_SCALE / PCC_TRIALS / PCC_THREADS / PCC_BACKEND mean
+// BENCH_micro. PCC_SCALE / PCC_TRIALS / PCC_THREADS mean
 // what they mean for every other harness.
 
 #include <cstdio>

@@ -48,6 +48,10 @@ void afforest_into(const graph::graph& g, uint64_t seed,
 
   // Identify the (probable) giant component from a vertex sample. The
   // snapshot of representatives also serves as phase 2's membership test.
+  // It must compress (flatten_into stores each root into the parent span
+  // too): on a path, phase 1 leaves a chain about one link per scheduling
+  // block, and a snapshot that only reads walks that chain from every
+  // vertex.
   std::span<vertex_id> reps = ws.take<vertex_id>(n);
   uf.flatten_into(reps);
   const size_t samples = std::min(kSampleSize, n);

@@ -32,6 +32,7 @@ bool rem_view::unite(vertex_id u, vertex_id v) {
 }
 
 void rem_view::flatten_into(std::span<vertex_id> labels) const {
+  const bool separate = labels.data() != parent_.data();
   parallel::parallel_for(0, parent_.size(), [&](size_t v) {
     vertex_id x = static_cast<vertex_id>(v);
     while (true) {
@@ -39,8 +40,9 @@ void rem_view::flatten_into(std::span<vertex_id> labels) const {
       if (p == x) break;
       x = p;
     }
-    // Atomic store because labels may alias the parent array (see header).
-    parallel::atomic_store(&labels[v], x);
+    // Atomic stores: concurrent walkers read parent[v] (see header).
+    parallel::atomic_store(&parent_[v], x);
+    if (separate) parallel::atomic_store(&labels[v], x);
   });
 }
 

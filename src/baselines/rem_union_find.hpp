@@ -92,9 +92,11 @@ class rem_view {
   bool unite(vertex_id u, vertex_id v);
 
   // Publish every set's root into labels[v] (call after all unions have
-  // completed). `labels` MAY alias the parent span: the writes are full
-  // path compression, and a concurrent walker that reads a freshly
-  // written root simply finishes one step later.
+  // completed). Each walk also stores its root into parent[v], so the
+  // pass is full path compression whether or not `labels` aliases the
+  // parent span: a concurrent walker that reads a freshly written root
+  // simply finishes one step later, and later walks stay short even on a
+  // forest that is one long chain.
   void flatten_into(std::span<vertex_id> labels) const;
 
   size_t size() const { return parent_.size(); }

@@ -21,7 +21,7 @@
 // decomposition (the witness mode of core/decomp_arb_hybrid.cpp) and the
 // witness-preserving dedup (contract.hpp) are deterministic, so the forest
 // is a pure function of (graph, options), identical across worker counts
-// and scheduler backends.
+// and schedules.
 //
 // Both modes share the arenas. They warm up over the first runs (and
 // consolidate to their high-water mark); after that, a run performs no

@@ -41,7 +41,7 @@
 // identity depends on WHICH claim wins, so the witness mode gives every
 // claimed vertex to its first proposal in frontier order and the forest is
 // a pure function of (graph, options), identical across worker counts and
-// scheduler backends. At one worker that is first arrival. At more, a
+// schedules. At one worker that is first arrival. At more, a
 // sparse round is ONE pass over the frontier edges that writes no label
 // and moves no edge: each proposal folds its rank into claim[w] and stages
 // a record; a pack then keeps the minimum-rank record per target, in
@@ -184,7 +184,7 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
     if (frontier_size > dense_cutoff) {
       // Read-based (dense) round. In witness mode the frontier size is
       // deterministic, so the dense/sparse schedule replays identically
-      // across runs, worker counts and backends.
+      // across runs and worker counts.
       ++res.num_dense_rounds;
       // Refresh the unvisited list: drop everything claimed since the last
       // dense round (sparse-round claims, new centers). C is stable here,

@@ -10,8 +10,8 @@
 // to a registered algorithm name.
 //
 // The probe is sequential and deterministic: a fixed seed gives the same
-// statistics (and therefore the same selection) on every backend, worker
-// count and run. Selection MAY consult the worker count — every algorithm
+// statistics (and therefore the same selection) at every worker count
+// and run. Selection MAY consult the worker count — every algorithm
 // the selector can pick emits schedule-independent labels, so changing the
 // pick with the thread count never changes the answer's reproducibility
 // for a given configuration.

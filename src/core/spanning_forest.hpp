@@ -30,7 +30,7 @@ namespace pcc::cc {
 
 // Returns the edges of a spanning forest of g, as (u, v) pairs of original
 // vertex ids; exactly n - (#components) edges, deterministic across worker
-// counts and scheduler backends for fixed options.
+// counts and schedules for fixed options.
 std::vector<graph::edge> spanning_forest(const graph::graph& g,
                                          const cc_options& opt = {});
 

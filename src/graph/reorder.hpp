@@ -46,7 +46,7 @@ bool reorder_from_name(std::string_view name, reorder_mode* out);
 // Build the permutation for `mode` into caller storage (perm and inv must
 // each have g.num_vertices() elements); temporaries come from `ws`
 // (rewound before returning). Deterministic: a fixed input graph gives the
-// same permutation on every backend and worker count. kNone writes the
+// same permutation at every worker count. kNone writes the
 // identity.
 void build_reorder_perm_into(const graph& g, reorder_mode mode,
                              std::span<vertex_id> perm,

@@ -140,6 +140,27 @@ TEST(ParallelRemUnionFind, ConcurrentRingMergesToOneSet) {
   for (size_t v = 0; v < n; ++v) ASSERT_EQ(labels[v], labels[0]);
 }
 
+TEST(RemView, FlattenIntoSeparateSpanCompressesTheForest) {
+  // afforest snapshots its phase-1 forest into a span that does not alias
+  // the parent array; the snapshot must still compress, or every walk on a
+  // chain-shaped forest (a path's) pays the whole chain.
+  const size_t n = 5000;
+  std::vector<vertex_id> parent(n);
+  std::vector<uint8_t> locks(n);
+  rem_view uf(parent, locks);
+  uf.init();
+  for (size_t v = n - 1; v-- > 0;) {
+    uf.unite(static_cast<vertex_id>(v), static_cast<vertex_id>(v + 1));
+  }
+  for (size_t v = 1; v < n; ++v) ASSERT_EQ(parent[v], v - 1);  // one chain
+  std::vector<vertex_id> reps(n, kNoVertex);
+  uf.flatten_into(reps);
+  for (size_t v = 0; v < n; ++v) {
+    ASSERT_EQ(reps[v], 0u) << v;
+    ASSERT_EQ(parent[v], 0u) << v;
+  }
+}
+
 TEST(ParallelRemUnionFind, ConcurrentMatchesSequentialPartition) {
   const size_t n = 20000;
   parallel::rng gen(23);

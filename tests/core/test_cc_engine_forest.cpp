@@ -4,8 +4,8 @@
 //   (1) run_forest() agrees with the one-shot API and with connectivity
 //       (forest valid, labels the same partition as the oracle);
 //   (2) the forest and the labels are bit-identical across worker counts
-//       and scheduler backends (the minimum-rank claim rule's whole
-//       point), and stable across repeated runs of a warm engine;
+//       (the minimum-rank claim rule's whole point), and stable across
+//       repeated runs of a warm engine;
 //   (3) after warm-up, run_forest() converges to zero heap allocation
 //       (global operator-new hook, same discipline as test_cc_engine.cpp);
 //   (4) through the registry, the reorder wrapper maps the forest back to
@@ -168,23 +168,20 @@ TEST(CcEngineForest, MatchesOneShotExactly) {
   }
 }
 
-TEST(CcEngineForest, ValidOnCorpusBothBackends) {
-  for (auto b : {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
-    parallel::scoped_backend guard(b);
-    cc_engine engine;
-    for (const auto& gc : pcc::testing::correctness_corpus()) {
-      const graph::graph g = gc.make();
-      const forest_result r = engine.run_forest(g, {});
-      ASSERT_EQ(r.labels.size(), g.num_vertices()) << gc.name;
-      expect_valid_forest(g, r.forest);
-      if (g.num_vertices() == 0) continue;
-      const std::vector<vertex_id> copy(r.labels.begin(), r.labels.end());
-      EXPECT_TRUE(baselines::is_valid_components_labeling(g, copy)) << gc.name;
-      EXPECT_TRUE(baselines::labels_are_representatives(copy)) << gc.name;
-      // Labels and forest tell the same connectivity story.
-      EXPECT_EQ(r.forest.size(), g.num_vertices() - cc::num_components(copy))
-          << gc.name;
-    }
+TEST(CcEngineForest, ValidOnCorpus) {
+  cc_engine engine;
+  for (const auto& gc : pcc::testing::correctness_corpus()) {
+    const graph::graph g = gc.make();
+    const forest_result r = engine.run_forest(g, {});
+    ASSERT_EQ(r.labels.size(), g.num_vertices()) << gc.name;
+    expect_valid_forest(g, r.forest);
+    if (g.num_vertices() == 0) continue;
+    const std::vector<vertex_id> copy(r.labels.begin(), r.labels.end());
+    EXPECT_TRUE(baselines::is_valid_components_labeling(g, copy)) << gc.name;
+    EXPECT_TRUE(baselines::labels_are_representatives(copy)) << gc.name;
+    // Labels and forest tell the same connectivity story.
+    EXPECT_EQ(r.forest.size(), g.num_vertices() - cc::num_components(copy))
+        << gc.name;
   }
 }
 
@@ -211,14 +208,13 @@ graph::graph parallel_edge_multigraph() {
   return graph::from_edges(n, std::move(edges), bopt);
 }
 
-TEST(CcEngineForest, ForestAndLabelsIdenticalAcrossWorkersAndBackends) {
+TEST(CcEngineForest, ForestAndLabelsIdenticalAcrossWorkers) {
   // The determinism contract: forest AND labels are a pure function of
-  // (graph, options) — bit-identical across worker counts and scheduler
-  // backends. This is what the minimum-rank claim rule buys: at more than
-  // one worker the sparse round's pack keeps the first proposal in
-  // frontier order, which is the proposal a one-worker run claims on
-  // first arrival. A CAS free-for-all would pass every validity check
-  // above and still fail here.
+  // (graph, options) — bit-identical across worker counts. This is what
+  // the minimum-rank claim rule buys: at more than one worker the sparse
+  // round's pack keeps the first proposal in frontier order, which is the
+  // proposal a one-worker run claims on first arrival. A CAS free-for-all
+  // would pass every validity check above and still fail here.
   const struct {
     const char* name;
     graph::graph g;
@@ -247,7 +243,7 @@ TEST(CcEngineForest, ForestAndLabelsIdenticalAcrossWorkersAndBackends) {
       opt.dedup = c.dedup;
       const std::string name =
           std::string(c.name) + " dense=" + std::to_string(dense);
-      // Baseline: one worker, OpenMP.
+      // Baseline: one worker.
       std::vector<graph::edge> base_forest;
       std::vector<vertex_id> base_labels;
       {
@@ -262,24 +258,19 @@ TEST(CcEngineForest, ForestAndLabelsIdenticalAcrossWorkersAndBackends) {
           ASSERT_GE(stats.levels.size(), 4u) << name;
         }
       }
-      for (auto b :
-           {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
-        parallel::scoped_backend guard(b);
-        for (int workers : {1, 2, 3, 4, 8}) {
-          parallel::scoped_workers w(workers);
-          cc_engine engine;
-          const forest_result r = engine.run_forest(c.g, opt);
-          const std::string what =
-              name + " workers=" + std::to_string(workers) + " backend=" +
-              (b == parallel::backend::kThreadPool ? "pool" : "openmp");
-          ASSERT_EQ(r.forest.size(), base_forest.size()) << what;
-          for (size_t i = 0; i < base_forest.size(); ++i) {
-            ASSERT_EQ(r.forest[i], base_forest[i]) << what << " edge " << i;
-          }
-          ASSERT_EQ(r.labels.size(), base_labels.size()) << what;
-          for (size_t v = 0; v < base_labels.size(); ++v) {
-            ASSERT_EQ(r.labels[v], base_labels[v]) << what << " vertex " << v;
-          }
+      for (int workers : {1, 2, 3, 4, 8}) {
+        parallel::scoped_workers w(workers);
+        cc_engine engine;
+        const forest_result r = engine.run_forest(c.g, opt);
+        const std::string what =
+            name + " workers=" + std::to_string(workers);
+        ASSERT_EQ(r.forest.size(), base_forest.size()) << what;
+        for (size_t i = 0; i < base_forest.size(); ++i) {
+          ASSERT_EQ(r.forest[i], base_forest[i]) << what << " edge " << i;
+        }
+        ASSERT_EQ(r.labels.size(), base_labels.size()) << what;
+        for (size_t v = 0; v < base_labels.size(); ++v) {
+          ASSERT_EQ(r.labels[v], base_labels[v]) << what << " vertex " << v;
         }
       }
     }
@@ -359,37 +350,32 @@ TEST(CcEngineForest, HotPathRunIsAllocationFree) {
   // run 1 grows the arenas, run 2 consolidates them, and after that the
   // engine must reach an allocation-free run within a few attempts (the
   // forest pipeline is deterministic, so in practice the third run is
-  // already clean — the retry loop only absorbs backend-side lazies like
-  // thread-pool bootstrap).
+  // already clean — the retry loop only absorbs scheduler-side lazies
+  // like OpenMP team start-up).
   // Both shift schedules carve their own scratch, so both are checked.
   const graph::graph g = graph::random_graph(20000, 5, 7);
-  for (auto b : {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
-    parallel::scoped_backend guard(b);
-    for (auto shifts : {ldd::shift_mode::kExponentialShifts,
-                        ldd::shift_mode::kPermutationChunks}) {
-      cc_options opt;
-      opt.shifts = shifts;
-      cc_engine engine;
-      engine.run_forest(g, opt);  // warm-up: arenas chain chunks as needed
-      engine.run_forest(g, opt);  // warm-up: reset() consolidates
+  for (auto shifts : {ldd::shift_mode::kExponentialShifts,
+                      ldd::shift_mode::kPermutationChunks}) {
+    cc_options opt;
+    opt.shifts = shifts;
+    cc_engine engine;
+    engine.run_forest(g, opt);  // warm-up: arenas chain chunks as needed
+    engine.run_forest(g, opt);  // warm-up: reset() consolidates
 
-      bool saw_clean_run = false;
-      forest_result r;
-      for (int attempt = 0; attempt < 10 && !saw_clean_run; ++attempt) {
-        g_alloc_count.store(0, std::memory_order_relaxed);
-        g_count_allocs.store(true, std::memory_order_relaxed);
-        r = engine.run_forest(g, opt);
-        g_count_allocs.store(false, std::memory_order_relaxed);
-        saw_clean_run = g_alloc_count.load(std::memory_order_relaxed) == 0;
-      }
-
-      EXPECT_TRUE(saw_clean_run)
-          << "no allocation-free run in 10 attempts; backend "
-          << (b == parallel::backend::kOpenMP ? "omp" : "pool")
-          << (shifts == ldd::shift_mode::kExponentialShifts ? " exp"
-                                                            : " chunk");
-      expect_valid_forest(g, r.forest);
+    bool saw_clean_run = false;
+    forest_result r;
+    for (int attempt = 0; attempt < 10 && !saw_clean_run; ++attempt) {
+      g_alloc_count.store(0, std::memory_order_relaxed);
+      g_count_allocs.store(true, std::memory_order_relaxed);
+      r = engine.run_forest(g, opt);
+      g_count_allocs.store(false, std::memory_order_relaxed);
+      saw_clean_run = g_alloc_count.load(std::memory_order_relaxed) == 0;
     }
+
+    EXPECT_TRUE(saw_clean_run)
+        << "no allocation-free run in 10 attempts; shifts "
+        << (shifts == ldd::shift_mode::kExponentialShifts ? "exp" : "chunk");
+    expect_valid_forest(g, r.forest);
   }
 }
 
@@ -450,7 +436,7 @@ std::vector<testing::graph_case> skew_corpus() {
 
 class SfReorder : public ::testing::TestWithParam<testing::graph_case> {};
 
-TEST_P(SfReorder, ForestValidAcrossPoliciesAndBackends) {
+TEST_P(SfReorder, ForestValidAcrossPolicies) {
   const graph::graph g = GetParam().make();
   const size_t n = g.num_vertices();
   const cc::algorithm* algo = cc::find_algorithm("spanning-forest");
@@ -463,22 +449,16 @@ TEST_P(SfReorder, ForestValidAcrossPoliciesAndBackends) {
   std::vector<vertex_id> baseline(n);
   cc::run_algorithm(*algo, g, base_opt, ws, baseline);
 
-  for (const parallel::backend backend :
-       {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
-    const parallel::scoped_backend bg(backend);
-    for (const cc::reorder_policy policy : kFixedPolicies) {
-      cc_options opt;
-      opt.reorder = policy;
-      std::vector<vertex_id> labels(n);
-      cc::run_algorithm(*algo, g, opt, ws, labels);
-      const std::string what =
-          std::string("policy=") + cc::reorder_policy_name(policy) +
-          " backend=" +
-          (backend == parallel::backend::kThreadPool ? "pool" : "openmp");
-      // The mapped-back forest is a spanning forest of the ORIGINAL graph.
-      expect_valid_forest(g, ws.last_forest);
-      expect_same_partition(labels, baseline, what);
-    }
+  for (const cc::reorder_policy policy : kFixedPolicies) {
+    cc_options opt;
+    opt.reorder = policy;
+    std::vector<vertex_id> labels(n);
+    cc::run_algorithm(*algo, g, opt, ws, labels);
+    const std::string what =
+        std::string("policy=") + cc::reorder_policy_name(policy);
+    // The mapped-back forest is a spanning forest of the ORIGINAL graph.
+    expect_valid_forest(g, ws.last_forest);
+    expect_same_partition(labels, baseline, what);
   }
 }
 

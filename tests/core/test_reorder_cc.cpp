@@ -1,7 +1,7 @@
 // End-to-end contract of the locality layer: connectivity answers are
-// unchanged by vertex relabeling, across every reorder policy, both
-// scheduler backends, canonical and representative-label algorithms, on a
-// skew-heavy corpus. Plus the select_reorder gate as a pure function.
+// unchanged by vertex relabeling, across every reorder policy, canonical
+// and representative-label algorithms, on a skew-heavy corpus. Plus the
+// select_reorder gate as a pure function.
 
 #include <gtest/gtest.h>
 
@@ -67,7 +67,7 @@ std::vector<testing::graph_case> reorder_corpus() {
 
 class ReorderCc : public ::testing::TestWithParam<testing::graph_case> {};
 
-TEST_P(ReorderCc, LabelsInvariantAcrossPoliciesAndBackends) {
+TEST_P(ReorderCc, LabelsInvariantAcrossPolicies) {
   const graph::graph g = GetParam().make();
   const size_t n = g.num_vertices();
 
@@ -87,45 +87,36 @@ TEST_P(ReorderCc, LabelsInvariantAcrossPoliciesAndBackends) {
     ASSERT_NE(algo, nullptr) << name;
     cc::algo_workspace ws;
 
-    // Baseline: no reordering, OpenMP backend.
+    // Baseline: no reordering.
     cc_options base_opt;
     base_opt.reorder = reorder_policy::kNone;
     std::vector<vertex_id> baseline(n);
-    {
-      const parallel::scoped_backend bg(parallel::backend::kOpenMP);
-      cc::run_algorithm(*algo, g, base_opt, ws, baseline);
-    }
+    cc::run_algorithm(*algo, g, base_opt, ws, baseline);
 
-    for (const parallel::backend backend :
-         {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
-      const parallel::scoped_backend bg(backend);
-      for (const reorder_policy policy : kFixedPolicies) {
-        cc_options opt;
-        opt.reorder = policy;
-        std::vector<vertex_id> labels(n);
-        cc::cc_stats stats;
-        cc::run_algorithm(*algo, g, opt, ws, labels, &stats);
-        const std::string what =
-            std::string(name) + " policy=" + cc::reorder_policy_name(policy) +
-            " backend=" +
-            (backend == parallel::backend::kThreadPool ? "pool" : "openmp");
-        if (canonical) {
-          // Canonical labels are each component's minimum ORIGINAL id; the
-          // wrapper restores that after mapping back, so equality is exact.
-          ASSERT_EQ(labels, baseline) << what;
-        } else {
-          expect_same_partition(labels, baseline, what);
-        }
-      }
-      // kAuto (the default) must agree with the baseline partition too,
-      // whether or not the probe decides to relabel.
+    for (const reorder_policy policy : kFixedPolicies) {
       cc_options opt;
-      opt.reorder = reorder_policy::kAuto;
+      opt.reorder = policy;
       std::vector<vertex_id> labels(n);
-      cc::run_algorithm(*algo, g, opt, ws, labels);
-      expect_same_partition(labels, baseline,
-                            std::string(name) + " policy=auto");
+      cc::cc_stats stats;
+      cc::run_algorithm(*algo, g, opt, ws, labels, &stats);
+      const std::string what =
+          std::string(name) + " policy=" + cc::reorder_policy_name(policy);
+      if (canonical) {
+        // Canonical labels are each component's minimum ORIGINAL id; the
+        // wrapper restores that after mapping back, so equality is exact.
+        ASSERT_EQ(labels, baseline) << what;
+      } else {
+        expect_same_partition(labels, baseline, what);
+      }
     }
+    // kAuto (the default) must agree with the baseline partition too,
+    // whether or not the probe decides to relabel.
+    cc_options opt;
+    opt.reorder = reorder_policy::kAuto;
+    std::vector<vertex_id> labels(n);
+    cc::run_algorithm(*algo, g, opt, ws, labels);
+    expect_same_partition(labels, baseline,
+                          std::string(name) + " policy=auto");
   }
 }
 

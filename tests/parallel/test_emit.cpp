@@ -2,7 +2,7 @@
 // count_then_emit), edge-balanced traversal (frontier_edge_for), and the
 // split-piece stitching protocol — plus pipeline-level determinism checks:
 // the emission order and the contracted/dedup output must be identical
-// across scheduler backends, worker counts, and chunk widths.
+// across worker counts and chunk widths.
 
 #include "parallel/emit.hpp"
 
@@ -24,17 +24,13 @@
 namespace {
 
 using namespace pcc;
-using parallel::backend;
 using parallel::emit_pack;
 using parallel::emitter;
 using parallel::frontier_edge_opts;
 using parallel::frontier_piece;
 using parallel::frontier_result;
-using parallel::scoped_backend;
 using parallel::scoped_workers;
 using parallel::workspace;
-
-const backend kBackends[] = {backend::kOpenMP, backend::kThreadPool};
 
 // ---------------------------------------------------------------------------
 // emit_pack
@@ -60,21 +56,18 @@ TEST(EmitPack, SingletonInput) {
 }
 
 TEST(EmitPack, FilterKeepsIndexOrder) {
-  for (const backend b : kBackends) {
-    scoped_backend guard(b);
-    workspace ws;
-    const size_t n = 10000;
-    std::vector<uint32_t> out(n);
-    // grain 64 forces many blocks even at this size.
-    const size_t kept = emit_pack<uint32_t>(
-        n, std::span<uint32_t>(out), ws,
-        [&](size_t i, emitter<uint32_t>& em) {
-          if (i % 3 == 0) em(static_cast<uint32_t>(i));
-        },
-        1, 64);
-    ASSERT_EQ(kept, (n + 2) / 3);
-    for (size_t k = 0; k < kept; ++k) EXPECT_EQ(out[k], 3 * k);
-  }
+  workspace ws;
+  const size_t n = 10000;
+  std::vector<uint32_t> out(n);
+  // grain 64 forces many blocks even at this size.
+  const size_t kept = emit_pack<uint32_t>(
+      n, std::span<uint32_t>(out), ws,
+      [&](size_t i, emitter<uint32_t>& em) {
+        if (i % 3 == 0) em(static_cast<uint32_t>(i));
+      },
+      1, 64);
+  ASSERT_EQ(kept, (n + 2) / 3);
+  for (size_t k = 0; k < kept; ++k) EXPECT_EQ(out[k], 3 * k);
 }
 
 TEST(EmitPack, BodyRunsExactlyOncePerIndex) {
@@ -122,27 +115,24 @@ TEST(CountThenEmit, EmptyInput) {
 }
 
 TEST(CountThenEmit, MatchesSerialFilter) {
-  for (const backend b : kBackends) {
-    scoped_backend guard(b);
-    workspace ws;
-    const size_t n = 20000;
-    std::vector<uint32_t> data(n);
-    for (size_t i = 0; i < n; ++i) data[i] = static_cast<uint32_t>((i * 7) % 11);
-    std::vector<uint32_t> out(n);
-    const size_t kept = parallel::count_then_emit<uint32_t>(
-        n, std::span<uint32_t>(out), ws,
-        [&](size_t i, auto& em) {
-          if (data[i] < 4) em(data[i] * 100 + static_cast<uint32_t>(i % 100));
-        },
-        256);
-    std::vector<uint32_t> expect;
-    for (size_t i = 0; i < n; ++i) {
-      if (data[i] < 4) expect.push_back(data[i] * 100 +
-                                        static_cast<uint32_t>(i % 100));
-    }
-    ASSERT_EQ(kept, expect.size());
-    for (size_t k = 0; k < kept; ++k) ASSERT_EQ(out[k], expect[k]);
+  workspace ws;
+  const size_t n = 20000;
+  std::vector<uint32_t> data(n);
+  for (size_t i = 0; i < n; ++i) data[i] = static_cast<uint32_t>((i * 7) % 11);
+  std::vector<uint32_t> out(n);
+  const size_t kept = parallel::count_then_emit<uint32_t>(
+      n, std::span<uint32_t>(out), ws,
+      [&](size_t i, auto& em) {
+        if (data[i] < 4) em(data[i] * 100 + static_cast<uint32_t>(i % 100));
+      },
+      256);
+  std::vector<uint32_t> expect;
+  for (size_t i = 0; i < n; ++i) {
+    if (data[i] < 4) expect.push_back(data[i] * 100 +
+                                      static_cast<uint32_t>(i % 100));
   }
+  ASSERT_EQ(kept, expect.size());
+  for (size_t k = 0; k < kept; ++k) ASSERT_EQ(out[k], expect[k]);
 }
 
 // ---------------------------------------------------------------------------
@@ -231,8 +221,8 @@ TEST(FrontierEdgeFor, CoversEveryEdgeSlotExactlyOnce) {
   }
 }
 
-// Emissions land in flattened edge order — independent of chunk width,
-// backend, and worker count.
+// Emissions land in flattened edge order — independent of chunk width
+// and worker count.
 TEST(FrontierEdgeFor, EmissionOrderIsFlattenedEdgeOrder) {
   const std::vector<uint32_t> degs = {5, 4096, 0, 3, 100, 1};
   const size_t total = std::accumulate(degs.begin(), degs.end(), size_t{0});
@@ -255,22 +245,18 @@ TEST(FrontierEdgeFor, EmissionOrderIsFlattenedEdgeOrder) {
                    .emitted;
   }
   ASSERT_GT(expect_n, 0u);
-  for (const backend b : kBackends) {
-    scoped_backend bg(b);
-    for (const int workers : {1, 2, 4}) {
-      scoped_workers wg(workers);
-      for (const size_t chunk : {size_t{0}, size_t{9}, size_t{1024}}) {
-        workspace ws;
-        std::vector<uint64_t> out(total);
-        const frontier_result run = parallel::frontier_edge_for<uint64_t>(
-            degs.size(), [&](size_t fi) { return degs[fi]; },
-            std::span<uint64_t>(out), ws, body, frontier_edge_opts{chunk});
-        ASSERT_EQ(run.emitted, expect_n);
-        for (size_t k = 0; k < expect_n; ++k) {
-          ASSERT_EQ(out[k], expect[k])
-              << "backend " << static_cast<int>(b) << " workers " << workers
-              << " chunk " << chunk << " pos " << k;
-        }
+  for (const int workers : {1, 2, 4}) {
+    scoped_workers wg(workers);
+    for (const size_t chunk : {size_t{0}, size_t{9}, size_t{1024}}) {
+      workspace ws;
+      std::vector<uint64_t> out(total);
+      const frontier_result run = parallel::frontier_edge_for<uint64_t>(
+          degs.size(), [&](size_t fi) { return degs[fi]; },
+          std::span<uint64_t>(out), ws, body, frontier_edge_opts{chunk});
+      ASSERT_EQ(run.emitted, expect_n);
+      for (size_t k = 0; k < expect_n; ++k) {
+        ASSERT_EQ(out[k], expect[k])
+            << "workers " << workers << " chunk " << chunk << " pos " << k;
       }
     }
   }
@@ -463,65 +449,62 @@ TEST(FrontierEdgeForLookahead, StreamAndPartialsMatchNoHook) {
     for (uint32_t j = jlo; j < jhi; ++j) kept += (fi + j) % 3 != 0;
     return kept;
   };
-  for (const backend b : kBackends) {
-    scoped_backend bg(b);
-    for (const lookahead_config cfg : kLookaheadConfigs) {
-      scoped_workers wg(cfg.workers);
-      std::vector<uint64_t> out[2];
-      std::vector<frontier_piece> partials[2];
-      for (const int with_hook : {0, 1}) {
-        std::vector<uint32_t> vcalls(fs, 0);
-        std::vector<uint32_t> acalls(fs, 0);
-        uint32_t bad = 0;
-        workspace ws;
-        out[with_hook].assign(total, ~uint64_t{0});
-        const std::span<uint64_t> sink(out[with_hook]);
-        const auto deg_of = [&](size_t fi) { return degs[fi]; };
-        const frontier_edge_opts opt{cfg.chunk};
-        const frontier_result run =
-            with_hook ? parallel::frontier_edge_for<uint64_t>(
-                            fs, deg_of, sink, ws, body, opt,
-                            recording_hook{fs, vcalls.data(), acalls.data(),
-                                           &bad})
-                      : parallel::frontier_edge_for<uint64_t>(
-                            fs, deg_of, sink, ws, body, opt);
-        ASSERT_EQ(bad, 0u);
-        out[with_hook].resize(run.emitted);
-        // The partials stay valid until the caller rewinds: a second
-        // traversal on the same workspace must not overwrite them.
-        parallel::frontier_edge_for(
-            fs, deg_of, ws,
-            [](size_t, uint32_t, uint32_t, uint32_t) -> uint32_t {
-              return ~0u;
-            },
-            opt);
-        partials[with_hook].assign(run.partials.begin(), run.partials.end());
-      }
-      const std::string where =
-          "backend " + std::to_string(static_cast<int>(b)) + " workers " +
-          std::to_string(cfg.workers) + " chunk " + std::to_string(cfg.chunk);
-      ASSERT_EQ(out[1], out[0]) << where;
-      ASSERT_EQ(partials[1].size(), partials[0].size()) << where;
-      for (size_t i = 0; i < partials[0].size(); ++i) {
-        const frontier_piece& p = partials[0][i];
-        const frontier_piece& q = partials[1][i];
-        ASSERT_TRUE(p.fi == q.fi && p.jlo == q.jlo && p.jhi == q.jhi &&
-                    p.value == q.value)
-            << where << " piece " << i;
-      }
-      // The split hub's pieces tile [0, deg) in order, each carrying the
-      // body's kept count.
-      uint32_t next_jlo = 0;
-      for (const frontier_piece& p : partials[1]) {
-        if (p.fi != hub) continue;
-        ASSERT_EQ(p.jlo, next_jlo) << where;
-        ASSERT_EQ(p.value, kept_in(hub, p.jlo, p.jhi)) << where;
-        next_jlo = p.jhi;
-      }
-      const bool hub_split = cfg.chunk != 0 && cfg.chunk < degs[hub];
-      if (hub_split) {
-        ASSERT_EQ(next_jlo, degs[hub]) << where;
-      }
+  for (const lookahead_config cfg : kLookaheadConfigs) {
+    scoped_workers wg(cfg.workers);
+    std::vector<uint64_t> out[2];
+    std::vector<frontier_piece> partials[2];
+    for (const int with_hook : {0, 1}) {
+      std::vector<uint32_t> vcalls(fs, 0);
+      std::vector<uint32_t> acalls(fs, 0);
+      uint32_t bad = 0;
+      workspace ws;
+      out[with_hook].assign(total, ~uint64_t{0});
+      const std::span<uint64_t> sink(out[with_hook]);
+      const auto deg_of = [&](size_t fi) { return degs[fi]; };
+      const frontier_edge_opts opt{cfg.chunk};
+      const frontier_result run =
+          with_hook ? parallel::frontier_edge_for<uint64_t>(
+                          fs, deg_of, sink, ws, body, opt,
+                          recording_hook{fs, vcalls.data(), acalls.data(),
+                                         &bad})
+                    : parallel::frontier_edge_for<uint64_t>(
+                          fs, deg_of, sink, ws, body, opt);
+      ASSERT_EQ(bad, 0u);
+      out[with_hook].resize(run.emitted);
+      // The partials stay valid until the caller rewinds: a second
+      // traversal on the same workspace must not overwrite them.
+      parallel::frontier_edge_for(
+          fs, deg_of, ws,
+          [](size_t, uint32_t, uint32_t, uint32_t) -> uint32_t {
+            return ~0u;
+          },
+          opt);
+      partials[with_hook].assign(run.partials.begin(), run.partials.end());
+    }
+    const std::string where =
+        "workers " + std::to_string(cfg.workers) + " chunk " +
+        std::to_string(cfg.chunk);
+    ASSERT_EQ(out[1], out[0]) << where;
+    ASSERT_EQ(partials[1].size(), partials[0].size()) << where;
+    for (size_t i = 0; i < partials[0].size(); ++i) {
+      const frontier_piece& p = partials[0][i];
+      const frontier_piece& q = partials[1][i];
+      ASSERT_TRUE(p.fi == q.fi && p.jlo == q.jlo && p.jhi == q.jhi &&
+                  p.value == q.value)
+          << where << " piece " << i;
+    }
+    // The split hub's pieces tile [0, deg) in order, each carrying the
+    // body's kept count.
+    uint32_t next_jlo = 0;
+    for (const frontier_piece& p : partials[1]) {
+      if (p.fi != hub) continue;
+      ASSERT_EQ(p.jlo, next_jlo) << where;
+      ASSERT_EQ(p.value, kept_in(hub, p.jlo, p.jhi)) << where;
+      next_jlo = p.jhi;
+    }
+    const bool hub_split = cfg.chunk != 0 && cfg.chunk < degs[hub];
+    if (hub_split) {
+      ASSERT_EQ(next_jlo, degs[hub]) << where;
     }
   }
 }
@@ -617,7 +600,7 @@ struct slotted {
 };
 
 // The kept stream is the unfiltered stream filtered in order, at every
-// worker count, chunk width and backend; keep sees each item once, with
+// worker count and chunk width; keep sees each item once, with
 // the slot the body read from emitter::slot(); slots are distinct and
 // increase along the stream; and `out` needs room for the kept items
 // alone (it is sized exactly, so an overrun fails under ASan).
@@ -654,48 +637,44 @@ TEST(FrontierEdgeForKeep, KeptStreamIsUnfilteredStreamFilteredInOrder) {
     for (const uint64_t x : unfiltered) {
       if (wanted(x)) expect.push_back(x);
     }
-    for (const backend b : kBackends) {
-      scoped_backend bg(b);
-      for (const int workers : {1, 2, 4}) {
-        scoped_workers wg(workers);
-        for (const size_t chunk :
-             {size_t{0}, size_t{1}, size_t{7}, size_t{64}, size_t{2048}}) {
-          const std::string where =
-              "fs " + std::to_string(fs) + " backend " +
-              std::to_string(static_cast<int>(b)) + " workers " +
-              std::to_string(workers) + " chunk " + std::to_string(chunk);
-          // Every slot is below nchunks * chunk <= 2 * total.
-          std::vector<uint64_t> at_slot(2 * total + 1, ~uint64_t{0});
-          std::vector<uint32_t> calls(2 * total + 1, 0);
-          uint32_t bad = 0;
-          workspace ws;
-          std::vector<slotted> out(expect.size());
-          const frontier_result run = parallel::frontier_edge_for<slotted>(
-              fs, deg_of, std::span<slotted>(out), ws, body,
-              frontier_edge_opts{chunk}, parallel::no_lookahead{},
-              [&](const slotted& x, size_t slot) {
-                if (slot != x.slot || slot >= at_slot.size()) {
-                  parallel::fetch_add(&bad, 1u);
-                  return false;
-                }
-                at_slot[slot] = x.item;
-                parallel::fetch_add(&calls[slot], 1u);
-                return wanted(x.item);
-              });
-          ASSERT_EQ(bad, 0u) << where;
-          ASSERT_EQ(run.emitted, expect.size()) << where;
-          for (size_t k = 0; k < expect.size(); ++k) {
-            ASSERT_EQ(out[k].item, expect[k]) << where << " pos " << k;
-          }
-          // Read in slot order, the items keep saw are the unfiltered
-          // stream, each seen exactly once.
-          std::vector<uint64_t> seen;
-          for (size_t slot = 0; slot < at_slot.size(); ++slot) {
-            ASSERT_LE(calls[slot], 1u) << where << " slot " << slot;
-            if (calls[slot] == 1) seen.push_back(at_slot[slot]);
-          }
-          ASSERT_EQ(seen, unfiltered) << where;
+    for (const int workers : {1, 2, 4}) {
+      scoped_workers wg(workers);
+      for (const size_t chunk :
+           {size_t{0}, size_t{1}, size_t{7}, size_t{64}, size_t{2048}}) {
+        const std::string where =
+            "fs " + std::to_string(fs) + " workers " +
+            std::to_string(workers) + " chunk " + std::to_string(chunk);
+        // Every slot is below nchunks * chunk <= 2 * total.
+        std::vector<uint64_t> at_slot(2 * total + 1, ~uint64_t{0});
+        std::vector<uint32_t> calls(2 * total + 1, 0);
+        uint32_t bad = 0;
+        workspace ws;
+        std::vector<slotted> out(expect.size());
+        const frontier_result run = parallel::frontier_edge_for<slotted>(
+            fs, deg_of, std::span<slotted>(out), ws, body,
+            frontier_edge_opts{chunk}, parallel::no_lookahead{},
+            [&](const slotted& x, size_t slot) {
+              if (slot != x.slot || slot >= at_slot.size()) {
+                parallel::fetch_add(&bad, 1u);
+                return false;
+              }
+              at_slot[slot] = x.item;
+              parallel::fetch_add(&calls[slot], 1u);
+              return wanted(x.item);
+            });
+        ASSERT_EQ(bad, 0u) << where;
+        ASSERT_EQ(run.emitted, expect.size()) << where;
+        for (size_t k = 0; k < expect.size(); ++k) {
+          ASSERT_EQ(out[k].item, expect[k]) << where << " pos " << k;
         }
+        // Read in slot order, the items keep saw are the unfiltered
+        // stream, each seen exactly once.
+        std::vector<uint64_t> seen;
+        for (size_t slot = 0; slot < at_slot.size(); ++slot) {
+          ASSERT_LE(calls[slot], 1u) << where << " slot " << slot;
+          if (calls[slot] == 1) seen.push_back(at_slot[slot]);
+        }
+        ASSERT_EQ(seen, unfiltered) << where;
       }
     }
   }
@@ -727,34 +706,30 @@ TEST(FrontierEdgeForKeep, MinimumSlotPerTargetKeepsFirstProposal) {
       }
     }
   }
-  for (const backend b : kBackends) {
-    scoped_backend bg(b);
-    for (const lookahead_config cfg : kLookaheadConfigs) {
-      scoped_workers wg(cfg.workers);
-      std::vector<uint64_t> best(targets, ~uint64_t{0});
-      workspace ws;
-      std::vector<uint32_t> out(targets);
-      const frontier_result run = parallel::frontier_edge_for<uint32_t>(
-          fs, [&](size_t fi) { return degs[fi]; },
-          std::span<uint32_t>(out), ws,
-          [&](size_t fi, uint32_t jlo, uint32_t jhi, uint32_t,
-              emitter<uint32_t>& em) -> uint32_t {
-            for (uint32_t j = jlo; j < jhi; ++j) {
-              const uint32_t t = target_of(fi, j);
-              parallel::write_min(&best[t], uint64_t{em.slot()});
-              em(t);
-            }
-            return 0;
-          },
-          frontier_edge_opts{cfg.chunk}, parallel::no_lookahead{},
-          [&](uint32_t t, size_t slot) { return best[t] == slot; });
-      ASSERT_LE(run.emitted, total);
-      const std::vector<uint32_t> got(out.begin(),
-                                      out.begin() + run.emitted);
-      ASSERT_EQ(got, expect)
-          << "backend " << static_cast<int>(b) << " workers " << cfg.workers
-          << " chunk " << cfg.chunk;
-    }
+  for (const lookahead_config cfg : kLookaheadConfigs) {
+    scoped_workers wg(cfg.workers);
+    std::vector<uint64_t> best(targets, ~uint64_t{0});
+    workspace ws;
+    std::vector<uint32_t> out(targets);
+    const frontier_result run = parallel::frontier_edge_for<uint32_t>(
+        fs, [&](size_t fi) { return degs[fi]; },
+        std::span<uint32_t>(out), ws,
+        [&](size_t fi, uint32_t jlo, uint32_t jhi, uint32_t,
+            emitter<uint32_t>& em) -> uint32_t {
+          for (uint32_t j = jlo; j < jhi; ++j) {
+            const uint32_t t = target_of(fi, j);
+            parallel::write_min(&best[t], uint64_t{em.slot()});
+            em(t);
+          }
+          return 0;
+        },
+        frontier_edge_opts{cfg.chunk}, parallel::no_lookahead{},
+        [&](uint32_t t, size_t slot) { return best[t] == slot; });
+    ASSERT_LE(run.emitted, total);
+    const std::vector<uint32_t> got(out.begin(),
+                                    out.begin() + run.emitted);
+    ASSERT_EQ(got, expect)
+        << "workers " << cfg.workers << " chunk " << cfg.chunk;
   }
 }
 
@@ -766,7 +741,7 @@ TEST(FixSplitPieces, EmptyIsNoOp) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline-level determinism across thread counts and backends.
+// Pipeline-level determinism across thread counts.
 
 TEST(Determinism, DecompMinClusterLabelsAcrossThreadCounts) {
   const graph::graph g = graph::rmat_graph(4096, 30000, 11);
@@ -774,18 +749,15 @@ TEST(Determinism, DecompMinClusterLabelsAcrossThreadCounts) {
   opt.beta = 0.2;
   opt.seed = 42;
   std::vector<vertex_id> reference;
-  for (const backend b : kBackends) {
-    scoped_backend bg(b);
-    for (const int workers : {1, 2, 4}) {
-      scoped_workers wg(workers);
-      const ldd::result dec = ldd::decompose_min(g, opt);
-      if (reference.empty()) {
-        reference = dec.cluster;
-        ASSERT_FALSE(reference.empty());
-      } else {
-        ASSERT_EQ(dec.cluster, reference)
-            << "backend " << static_cast<int>(b) << " workers " << workers;
-      }
+  for (const int workers : {1, 2, 4}) {
+    scoped_workers wg(workers);
+    const ldd::result dec = ldd::decompose_min(g, opt);
+    if (reference.empty()) {
+      reference = dec.cluster;
+      ASSERT_FALSE(reference.empty());
+    } else {
+      ASSERT_EQ(dec.cluster, reference)
+          << "workers " << workers;
     }
   }
 }
@@ -802,21 +774,18 @@ TEST(Determinism, ContractDedupOutputAcrossThreadCounts) {
   const ldd::result dec = ldd::decomp_min(wg, opt, nullptr);
   std::vector<edge_id> ref_off;
   std::vector<vertex_id> ref_edges;
-  for (const backend b : kBackends) {
-    scoped_backend bg(b);
-    for (const int workers : {1, 2, 4}) {
-      scoped_workers wkg(workers);
-      const cc::contraction con = cc::contract(wg, dec, /*dedup=*/true);
-      if (ref_off.empty()) {
-        ref_off = con.contracted.offsets();
-        ref_edges = con.contracted.edges();
-        ASSERT_FALSE(ref_off.empty());
-      } else {
-        ASSERT_EQ(con.contracted.offsets(), ref_off)
-            << "backend " << static_cast<int>(b) << " workers " << workers;
-        ASSERT_EQ(con.contracted.edges(), ref_edges)
-            << "backend " << static_cast<int>(b) << " workers " << workers;
-      }
+  for (const int workers : {1, 2, 4}) {
+    scoped_workers wkg(workers);
+    const cc::contraction con = cc::contract(wg, dec, /*dedup=*/true);
+    if (ref_off.empty()) {
+      ref_off = con.contracted.offsets();
+      ref_edges = con.contracted.edges();
+      ASSERT_FALSE(ref_off.empty());
+    } else {
+      ASSERT_EQ(con.contracted.offsets(), ref_off)
+          << "workers " << workers;
+      ASSERT_EQ(con.contracted.edges(), ref_edges)
+          << "workers " << workers;
     }
   }
 }

@@ -1,13 +1,15 @@
 // Scheduler layer: parallel_for coverage/exactness, nested behaviour,
-// par_do fork-join, worker-count control, and timers.
+// par_do fork-join, worker-count control, throwing bodies, the primitives
+// and pipelines built on them, and timers.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
-#include "parallel/atomics.hpp"
-#include "parallel/scheduler.hpp"
-#include "parallel/timer.hpp"
+#include "test_helpers.hpp"
 
 namespace pcc::parallel {
 namespace {
@@ -78,27 +80,108 @@ TEST(ParDo, RecursiveDivideAndConquerSum) {
   EXPECT_EQ(rec::sum(data, 0, n), uint64_t{n} * (n - 1) / 2);
 }
 
-TEST(Workers, WorkerIdsAreInRangeAndStable) {
-  // worker_id() must return a stable id in [0, num_workers()) on both
-  // backends — code that partitions per-worker scratch relies on it.
-  for (backend b : {backend::kOpenMP, backend::kThreadPool}) {
-    scoped_backend guard(b);
-    const int nw = num_workers();
-    const size_t n = 1 << 16;
-    std::vector<int> ids(n, -1);
-    parallel_for(0, n, [&](size_t i) { ids[i] = worker_id(); }, 64);
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_GE(ids[i], 0) << i;
-      ASSERT_LT(ids[i], nw) << i;
-    }
-    // Two calls on the same thread agree (stability within a region).
-    parallel_for(0, n, [&](size_t i) {
-      const int a = worker_id();
-      const int c = worker_id();
-      if (a != c) ids[i] = -1;
-    }, 64);
-    for (size_t i = 0; i < n; ++i) ASSERT_NE(ids[i], -1) << i;
+TEST(ParallelFor, ThrowingBodyTerminates) {
+  // Parallel bodies must not throw. A throw inside a forked region ends
+  // the process (the TSan path's trampoline is noexcept, OpenMP's region
+  // rule does the same) instead of unwinding out of a region other threads
+  // still run. Only worker 0 (OpenMP's master) throws: that is the thread
+  // whose exception could otherwise escape parallel_for. The other worker
+  // sleeps per block so it cannot drain every block first.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        scoped_workers two(2);
+        parallel_for(
+            0, 1024,
+            [](size_t) {
+              if (worker_id() == 0) throw std::runtime_error("boom");
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            },
+            /*grain=*/1);
+      },
+      "terminat");  // libstdc++ "terminate called", libc++abi "terminating"
+}
+
+TEST(Primitives, AgreeWithSerial) {
+  const size_t n = 100000;
+  rng gen(1);
+  std::vector<uint64_t> data(n);
+  uint64_t sum = 0;
+  for (size_t i = 0; i < n; ++i) {
+    data[i] = gen[i] % 1000;
+    sum += data[i];
   }
+  EXPECT_EQ(reduce_sum<uint64_t>(n, [&](size_t i) { return data[i]; }), sum);
+
+  std::vector<uint64_t> scanned;
+  EXPECT_EQ(scan_exclusive_into(n, [&](size_t i) { return data[i]; }, scanned),
+            sum);
+  EXPECT_EQ(scanned[1], data[0]);
+
+  auto sorted = data;
+  integer_sort_keys(sorted, 10);
+  EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+
+  const auto perm = random_permutation(n, 3);
+  std::vector<uint8_t> seen(n, 0);
+  for (vertex_id p : perm) {
+    ASSERT_EQ(seen[p], 0u);
+    seen[p] = 1;
+  }
+}
+
+TEST(Pipelines, EndToEndBaselines) {
+  const graph::graph g = graph::cliques_with_bridges(25, 12);
+  const auto reference = baselines::serial_sf_components(g);
+  EXPECT_TRUE(baselines::labels_equivalent(
+      reference, baselines::parallel_sf_pbbs_components(g)));
+  EXPECT_TRUE(baselines::labels_equivalent(
+      reference, baselines::parallel_sf_rem_components(g)));
+  EXPECT_TRUE(baselines::labels_equivalent(
+      reference, baselines::hybrid_bfs_components(g)));
+  EXPECT_TRUE(baselines::labels_equivalent(
+      reference, baselines::multistep_components(g)));
+}
+
+TEST(Pipelines, DecompMinLabelsAreScheduleIndependent) {
+  // Unlike the Arb variants, Decomp-Min's outcome is a pure function of
+  // the seed: writeMin outcomes are order-independent, phase-1 branch
+  // decisions depend only on the previous round's state, the phase-2 CAS
+  // only selects which thread enqueues a claimed vertex, and new-center
+  // insertion and contraction are deterministic packs. So decomp-min-CC
+  // returns identical LABELS at any worker count.
+  const graph::graph g = graph::rmat_graph(4096, 25000, 11);
+  cc::cc_options opt;
+  opt.algorithm = "decomp";
+  opt.variant = cc::decomp_variant::kMin;
+  opt.seed = 7;
+  std::vector<vertex_id> one;
+  {
+    scoped_workers guard(1);
+    one = cc::connected_components(g, opt);
+  }
+  scoped_workers many(8);
+  EXPECT_EQ(one, cc::connected_components(g, opt));
+}
+
+TEST(Workers, WorkerIdsAreInRangeAndStable) {
+  // worker_id() must return a stable id in [0, num_workers()) — code that
+  // partitions per-worker scratch relies on it.
+  const int nw = num_workers();
+  const size_t n = 1 << 16;
+  std::vector<int> ids(n, -1);
+  parallel_for(0, n, [&](size_t i) { ids[i] = worker_id(); }, 64);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_GE(ids[i], 0) << i;
+    ASSERT_LT(ids[i], nw) << i;
+  }
+  // Two calls on the same thread agree (stability within a region).
+  parallel_for(0, n, [&](size_t i) {
+    const int a = worker_id();
+    const int c = worker_id();
+    if (a != c) ids[i] = -1;
+  }, 64);
+  for (size_t i = 0; i < n; ++i) ASSERT_NE(ids[i], -1) << i;
 }
 
 TEST(Workers, ScopedOverrideRestores) {

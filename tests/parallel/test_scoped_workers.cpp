@@ -1,17 +1,10 @@
-// Worker-count plumbing across both scheduler backends.
-//
-// Regression battery for the bug where set_num_workers()/scoped_workers
-// only called omp_set_num_threads: on the kThreadPool backend the worker
-// count was frozen at pool creation, so thread sweeps silently measured
-// full-occupancy numbers under a 1..P label. These tests pin the contract:
-// scoped_workers(k) makes num_workers() == k on the ACTIVE backend, nested
-// scopes restore, a pool-backend guard leaves the OpenMP setting alone,
-// parallel regions respect the cap (ids < k, exact coverage), and the
-// connectivity results are identical at every worker count.
+// Worker-count plumbing. Thread sweeps label their rows with the worker
+// count, so these tests pin the contract: scoped_workers(k) makes
+// num_workers() == k, nested scopes restore, parallel regions respect the
+// cap (ids < k, exact coverage), and the connectivity results are
+// identical at every worker count.
 
 #include <gtest/gtest.h>
-
-#include <omp.h>
 
 #include <algorithm>
 #include <vector>
@@ -21,23 +14,11 @@
 #include "graph/generators.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/scheduler.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace pcc::parallel {
 namespace {
 
-class BothBackendsWorkers : public ::testing::TestWithParam<backend> {};
-
-INSTANTIATE_TEST_SUITE_P(Backends, BothBackendsWorkers,
-                         ::testing::Values(backend::kOpenMP,
-                                           backend::kThreadPool),
-                         [](const auto& info) {
-                           return info.param == backend::kOpenMP ? "OpenMP"
-                                                                 : "ThreadPool";
-                         });
-
-TEST_P(BothBackendsWorkers, ScopedWorkersRoundTrips) {
-  const scoped_backend bk(GetParam());
+TEST(ScopedWorkers, RoundTrips) {
   const int before = num_workers();
   for (const int k : {1, 2, 3, 8}) {
     {
@@ -48,8 +29,7 @@ TEST_P(BothBackendsWorkers, ScopedWorkersRoundTrips) {
   }
 }
 
-TEST_P(BothBackendsWorkers, NestedScopesRestoreInOrder) {
-  const scoped_backend bk(GetParam());
+TEST(ScopedWorkers, NestedScopesRestoreInOrder) {
   const int before = num_workers();
   {
     scoped_workers outer(4);
@@ -68,8 +48,7 @@ TEST_P(BothBackendsWorkers, NestedScopesRestoreInOrder) {
   EXPECT_EQ(num_workers(), before);
 }
 
-TEST_P(BothBackendsWorkers, SetNumWorkersClampsToOne) {
-  const scoped_backend bk(GetParam());
+TEST(ScopedWorkers, SetNumWorkersClampsToOne) {
   const int before = num_workers();
   set_num_workers(0);
   EXPECT_EQ(num_workers(), 1);
@@ -79,8 +58,7 @@ TEST_P(BothBackendsWorkers, SetNumWorkersClampsToOne) {
   EXPECT_EQ(num_workers(), before);
 }
 
-TEST_P(BothBackendsWorkers, WorkerIdsStayBelowCap) {
-  const scoped_backend bk(GetParam());
+TEST(ScopedWorkers, WorkerIdsStayBelowCap) {
   for (const int k : {1, 2, 4}) {
     scoped_workers guard(k);
     std::vector<uint32_t> seen(static_cast<size_t>(k) + 1, 0);
@@ -97,10 +75,9 @@ TEST_P(BothBackendsWorkers, WorkerIdsStayBelowCap) {
   }
 }
 
-TEST_P(BothBackendsWorkers, ParallelForExactCoverageAtEveryCap) {
-  // Caps above the machine's core count force the pool to lazily spawn
-  // (then park) workers; every cap must still visit each index once.
-  const scoped_backend bk(GetParam());
+TEST(ScopedWorkers, ParallelForExactCoverageAtEveryCap) {
+  // Caps above the machine's core count oversubscribe; every cap must
+  // still visit each index once.
   for (const int k : {1, 3, 8}) {
     scoped_workers guard(k);
     const size_t n = 50000;
@@ -111,66 +88,15 @@ TEST_P(BothBackendsWorkers, ParallelForExactCoverageAtEveryCap) {
   }
 }
 
-TEST(ScopedWorkersPool, PoolGuardLeavesOpenMPSettingAlone) {
-  // Regression: the old scoped_workers saved/restored omp_get_max_threads()
-  // regardless of backend, so a pool-backend guard clobbered the OpenMP
-  // worker count as collateral damage.
-  const int omp_before = omp_get_max_threads();
-  {
-    const scoped_backend bk(backend::kThreadPool);
-    scoped_workers guard(3);
-    EXPECT_EQ(num_workers(), 3);
-    EXPECT_EQ(omp_get_max_threads(), omp_before);
-  }
-  EXPECT_EQ(omp_get_max_threads(), omp_before);
-}
-
-TEST(ScopedWorkersPool, CapBeyondSpawnedLazilySpawns) {
-  const scoped_backend bk(backend::kThreadPool);
-  {
-    scoped_workers guard(6);
-    EXPECT_EQ(num_workers(), 6);
-    EXPECT_GE(thread_pool::instance().spawned_threads(), 6u);
-  }
-  // Spawned workers persist after the guard (they park); only the active
-  // cap is restored.
-  EXPECT_GE(thread_pool::instance().spawned_threads(), 6u);
-}
-
-// The guard must restore on the backend it changed even if the current
-// backend differs at destruction time.
-TEST(ScopedWorkersPool, RestoresOnTheBackendItChanged) {
-  const scoped_backend bk(backend::kThreadPool);
-  const int pool_before = num_workers();
-  {
-    scoped_workers guard(5);
-    // Flip the active backend under the guard's feet; its destructor must
-    // still restore the POOL cap, not the OpenMP setting.
-    const scoped_backend flip(backend::kOpenMP);
-    ASSERT_EQ(current_backend(), backend::kOpenMP);
-  }
-  EXPECT_EQ(num_workers(), pool_before);
-}
-
 // Decomposition labels and CC partitions must not depend on the worker
-// count, on either backend (the acceptance bar for the thread sweep: every
-// (threads, backend) cell of the bench measures the same answer).
-class WorkerCountInvariance : public ::testing::TestWithParam<backend> {};
+// count (the acceptance bar for the thread sweep: every threads cell of
+// the bench measures the same answer).
 
-INSTANTIATE_TEST_SUITE_P(Backends, WorkerCountInvariance,
-                         ::testing::Values(backend::kOpenMP,
-                                           backend::kThreadPool),
-                         [](const auto& info) {
-                           return info.param == backend::kOpenMP ? "OpenMP"
-                                                                 : "ThreadPool";
-                         });
-
-TEST_P(WorkerCountInvariance, DecompMinLabelsIdenticalAtEveryWorkerCount) {
+TEST(WorkerCountInvariance, DecompMinLabelsIdenticalAtEveryWorkerCount) {
   // Decomp-Min's labels are a pure function of the seed (see
-  // test_thread_pool's schedule-independence test), so at every worker
-  // count — including oversubscribed caps that exercise parked/stolen
-  // deques — the LABELS themselves must match, not just the partition.
-  const scoped_backend bk(GetParam());
+  // test_scheduler's schedule-independence test), so at every worker
+  // count — including oversubscribed caps — the LABELS themselves must
+  // match, not just the partition.
   const graph::graph g = graph::rmat_graph(4096, 16384, 7);
   cc::cc_options opt;
   opt.algorithm = "decomp";
@@ -188,8 +114,7 @@ TEST_P(WorkerCountInvariance, DecompMinLabelsIdenticalAtEveryWorkerCount) {
   }
 }
 
-TEST_P(WorkerCountInvariance, ComponentPartitionIdenticalAtEveryWorkerCount) {
-  const scoped_backend bk(GetParam());
+TEST(WorkerCountInvariance, ComponentPartitionIdenticalAtEveryWorkerCount) {
   cc::cc_options opt;
   opt.variant = cc::decomp_variant::kArbHybrid;
   opt.beta = 0.2;

@@ -2,8 +2,8 @@
 // (see tests/CMakeLists.txt): the point is not extra correctness coverage
 // but driving every cross-thread access pattern — CAS claim frontiers,
 // pair writeMin, write_once flags, fetch_add scatters, the hash table, and
-// both scheduler backends — under TSan with maximum interleaving, with an
-// EMPTY suppression file.
+// the scheduler's TSan dispatch path — under TSan with maximum
+// interleaving, with an EMPTY suppression file.
 //
 // Keep the graphs small: TSan slows execution ~5-15x and serializes
 // memory; the races it hunts are about interleavings, not scale, so many
@@ -29,11 +29,7 @@ std::vector<graph::graph> stress_graphs() {
   return graphs;
 }
 
-class TsanBackends
-    : public ::testing::TestWithParam<pcc::parallel::backend> {};
-
-TEST_P(TsanBackends, DecompositionsUnderContention) {
-  parallel::scoped_backend bk(GetParam());
+TEST(TsanStress, DecompositionsUnderContention) {
   parallel::scoped_workers workers(8);
   for (const auto& g : stress_graphs()) {
     for (uint64_t seed = 1; seed <= 2; ++seed) {
@@ -50,8 +46,7 @@ TEST_P(TsanBackends, DecompositionsUnderContention) {
   }
 }
 
-TEST_P(TsanBackends, FullPipelineRepeated) {
-  parallel::scoped_backend bk(GetParam());
+TEST(TsanStress, FullPipelineRepeated) {
   parallel::scoped_workers workers(8);
   for (const auto& g : stress_graphs()) {
     const auto reference = baselines::serial_sf_components(g);
@@ -70,11 +65,10 @@ TEST_P(TsanBackends, FullPipelineRepeated) {
   }
 }
 
-TEST_P(TsanBackends, EngineReuseRepeated) {
+TEST(TsanStress, EngineReuseRepeated) {
   // The engine reuses arena memory across runs, labels and forest runs
   // alike — a missing barrier between a level's producers and the next
   // run's consumers shows up here.
-  parallel::scoped_backend bk(GetParam());
   parallel::scoped_workers workers(8);
   cc::cc_engine engine;
   for (int rep = 0; rep < 3; ++rep) {
@@ -89,8 +83,7 @@ TEST_P(TsanBackends, EngineReuseRepeated) {
   }
 }
 
-TEST_P(TsanBackends, ParallelBaselinesUnderContention) {
-  parallel::scoped_backend bk(GetParam());
+TEST(TsanStress, ParallelBaselinesUnderContention) {
   parallel::scoped_workers workers(8);
   const graph::graph g = graph::cliques_with_bridges(16, 10);
   const auto reference = baselines::serial_sf_components(g);
@@ -103,15 +96,6 @@ TEST_P(TsanBackends, ParallelBaselinesUnderContention) {
         reference, baselines::parallel_sf_rem_components(g)));
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, TsanBackends,
-    ::testing::Values(pcc::parallel::backend::kOpenMP,
-                      pcc::parallel::backend::kThreadPool),
-    [](const ::testing::TestParamInfo<pcc::parallel::backend>& info) {
-      return info.param == pcc::parallel::backend::kOpenMP ? "OpenMP"
-                                                           : "ThreadPool";
-    });
 
 }  // namespace
 }  // namespace pcc
