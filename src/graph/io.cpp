@@ -7,10 +7,8 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,16 +37,10 @@ namespace {
 }
 
 // istream's default whitespace set under the "C" locale ('\t'..'\r' plus
-// space); the parallel tokenizer must agree with the serial `operator>>`
-// readers byte for byte. Two compares so the tokenizing loops stay cheap.
+// space); the tokenizer must agree byte for byte with the `operator>>`
+// reference readers in tests/graph/test_io.cpp. Two compares so the
+// tokenizing loops stay cheap.
 inline bool is_ws(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
-
-uint64_t next_number(std::istream& in, const std::string& path,
-                     const char* what) {
-  uint64_t x = 0;
-  if (!(in >> x)) fail(path, std::string("expected ") + what);
-  return x;
-}
 
 // ---------------------------------------------------------------------------
 // Mapped input: mmap the file read-only, falling back to buffered read()
@@ -251,9 +243,9 @@ uint64_t chunked_xxh64(const char* data, size_t len) {
   return xxh64(reinterpret_cast<const char*>(digests.data()), nb * 8, kSumSeed);
 }
 
-uint64_t binary_checksum(uint64_t n, uint64_t m, const char* offset_bytes,
-                         size_t offset_len, const char* edge_bytes,
-                         size_t edge_len) {
+uint64_t v2_checksum(uint64_t n, uint64_t m, const char* offset_bytes,
+                     size_t offset_len, const char* edge_bytes,
+                     size_t edge_len) {
   const uint64_t parts[4] = {n, m, chunked_xxh64(offset_bytes, offset_len),
                              chunked_xxh64(edge_bytes, edge_len)};
   return xxh64(reinterpret_cast<const char*>(parts), sizeof(parts), kSumSeed);
@@ -352,8 +344,8 @@ inline bool parse_short_u64(const char* data, size_t& q, size_t size,
 // whitespace then a run of digits. Returns false if there is no digit.
 // Runs of more than 19 digits (the only way a u64 can overflow) take the
 // std::from_chars slow path, which rejects out-of-range values the same
-// way the serial operator>> readers do (failbit on overflow). The fast
-// path is what makes the parallel readers beat iostreams per byte, not
+// way the test-side operator>> reference readers do (failbit on overflow).
+// The fast path is what makes the readers beat iostreams per byte, not
 // just per core.
 inline bool scan_number(const char* data, size_t& q, size_t end,
                         uint64_t* out) {
@@ -392,43 +384,13 @@ void flush_buf(std::ofstream& out, std::string& buf, size_t threshold) {
   }
 }
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // AdjacencyGraph text format.
 // ---------------------------------------------------------------------------
 
-// Reference serial reader (operator>> per number); kept behind
-// io_options::parallel=false for A/B measurement and differential tests.
-graph read_adjacency_serial(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) fail(path, "cannot open");
-  std::string header;
-  if (!(in >> header) || header != "AdjacencyGraph") {
-    fail(path, "missing AdjacencyGraph header");
-  }
-  const uint64_t n = next_number(in, path, "vertex count");
-  const uint64_t m = next_number(in, path, "edge count");
-  if (n > kMaxVertices) fail(path, "too many vertices");
-
-  std::vector<edge_id> offsets(n + 1);
-  for (uint64_t i = 0; i < n; ++i) {
-    offsets[i] = next_number(in, path, "offset");
-    if (offsets[i] > m) fail(path, "offset out of range");
-  }
-  offsets[n] = m;
-  if (n > 0 && offsets[0] != 0) fail(path, "first offset must be 0");
-  for (uint64_t i = 1; i < n; ++i) {
-    if (offsets[i] < offsets[i - 1]) fail(path, "offsets not monotone");
-  }
-  std::vector<vertex_id> edges(m);
-  for (uint64_t i = 0; i < m; ++i) {
-    const uint64_t t = next_number(in, path, "edge target");
-    if (t >= n) fail(path, "edge target out of range");
-    edges[i] = static_cast<vertex_id>(t);
-  }
-  return graph(std::move(offsets), std::move(edges));
-}
-
-graph read_adjacency_parallel(const std::string& path, const io_options& opt) {
+graph read_adjacency_graph(const std::string& path, const io_options& opt) {
   input_buffer buf;
   {
     parallel::scoped_phase ph(opt.phases, "io.map");
@@ -526,7 +488,7 @@ graph read_adjacency_parallel(const std::string& path, const io_options& opt) {
               // Fused tokenize + parse: accumulate digits while scanning
               // for the token end. Non-digit bytes or tokens past 19
               // digits punt to the checked slow path, which rejects them
-              // the way the serial reader's failbit would.
+              // the way the reference reader's failbit would.
               bool fast = true;
               while (p < size && !is_ws(data[p])) {
                 const unsigned d =
@@ -539,8 +501,8 @@ graph read_adjacency_parallel(const std::string& path, const io_options& opt) {
                 ok = parse_u64(data + tok, data + p, &v);
               }
             }
-            if (t >= n + m) break;  // trailing extras are ignored (as the
-                                    // serial reader never reads them)
+            if (t >= n + m) break;  // trailing extras are ignored (the
+                                    // reference reader never reads them)
             if (!ok) {
               errs[b] = {tok, "malformed number at byte " +
                                   // analyze: suppress(alloc-in-parallel: cold error path, one short string per failing chunk)
@@ -583,34 +545,7 @@ graph read_adjacency_parallel(const std::string& path, const io_options& opt) {
 // SNAP edge lists.
 // ---------------------------------------------------------------------------
 
-graph read_snap_serial(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) fail(path, "cannot open");
-  edge_list raw;
-  std::unordered_map<uint64_t, vertex_id> compact;
-  const auto to_id = [&](uint64_t x) {
-    auto [it, inserted] =
-        compact.try_emplace(x, static_cast<vertex_id>(compact.size()));
-    (void)inserted;
-    return it->second;
-  };
-  std::string line;
-  size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    uint64_t u = 0;
-    uint64_t v = 0;
-    if (!(ls >> u >> v)) {
-      fail(path, "malformed edge at line " + std::to_string(lineno));
-    }
-    raw.push_back({to_id(u), to_id(v)});
-  }
-  return from_edges(compact.size(), std::move(raw));
-}
-
-graph read_snap_parallel(const std::string& path, const io_options& opt) {
+graph read_snap_edge_list(const std::string& path, const io_options& opt) {
   input_buffer buf;
   {
     parallel::scoped_phase ph(opt.phases, "io.map");
@@ -629,7 +564,7 @@ graph read_snap_parallel(const std::string& path, const io_options& opt) {
         chunk_starts(data, 0, size, nb, [](char c) { return c == '\n'; });
 
     // Pass 1: per-chunk line and edge-line counts (comments and empty
-    // lines are skipped, exactly as the serial reader classifies them).
+    // lines are skipped, exactly as the reference reader classifies them).
     std::vector<size_t> line_counts(nb);
     std::vector<size_t> edge_counts(nb);
     parallel::parallel_for(
@@ -655,7 +590,6 @@ graph read_snap_parallel(const std::string& path, const io_options& opt) {
       line_base[b + 1] = line_base[b] + line_counts[b];
       edge_base[b + 1] = edge_base[b] + edge_counts[b];
     }
-    const size_t num_lines_total = line_base[nb];
     srcs.resize(edge_base[nb]);
     dsts.resize(edge_base[nb]);
 
@@ -698,7 +632,6 @@ graph read_snap_parallel(const std::string& path, const io_options& opt) {
           maxs[b] = mx;
         },
         1);
-    (void)num_lines_total;
     fail_on_first(path, errs);
     for (size_t b = 0; b < nb; ++b) max_id = std::max(max_id, maxs[b]);
   }
@@ -706,13 +639,13 @@ graph read_snap_parallel(const std::string& path, const io_options& opt) {
   const size_t num_edges = srcs.size();
   if (num_edges == 0) return from_edges(0, edge_list{});
 
-  // Id compaction in first-appearance order (identical to the serial
-  // reader's insertion order): each raw id's minimum occurrence position
-  // — u counts before v within a line — ranks it. Both edge directions
-  // are emitted pre-packed so from_packed_edges can skip a full copy of
-  // the edge array; the interleaved direction order differs from
-  // from_edges' concatenated one only among duplicates, which the stable
-  // sort + dedup collapse to the same CSR.
+  // Id compaction in first-appearance order (identical to the insertion
+  // order of the reference reader's unordered_map): each raw id's minimum
+  // occurrence position — u counts before v within a line — ranks it.
+  // Both edge directions are emitted pre-packed so from_packed_edges can
+  // skip a full copy of the edge array; the interleaved direction order
+  // differs from from_edges' concatenated one only among duplicates, which
+  // the stable sort + dedup collapse to the same CSR.
   size_t num_ids = 0;
   std::vector<uint64_t> packed(2 * num_edges);
   {
@@ -790,16 +723,9 @@ graph read_snap_parallel(const std::string& path, const io_options& opt) {
   return from_packed_edges(num_ids, std::move(packed), {});
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
-// Public text-format entry points.
+// Text-format writers.
 // ---------------------------------------------------------------------------
-
-graph read_adjacency_graph(const std::string& path, const io_options& opt) {
-  return opt.parallel ? read_adjacency_parallel(path, opt)
-                      : read_adjacency_serial(path);
-}
 
 void write_adjacency_graph(const graph& g, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
@@ -820,10 +746,6 @@ void write_adjacency_graph(const graph& g, const std::string& path) {
   }
   flush_buf(out, buf, 0);
   if (!out) fail(path, "write failed");
-}
-
-graph read_snap_edge_list(const std::string& path, const io_options& opt) {
-  return opt.parallel ? read_snap_parallel(path, opt) : read_snap_serial(path);
 }
 
 void write_edge_list(const graph& g, const std::string& path) {
@@ -868,10 +790,10 @@ void write_pod(std::ofstream& out, const T& v) {
 
 // memcpy in parallel chunks: at the paper's scale the copy out of the page
 // cache is itself a measurable fraction of binary load time.
-void copy_region(void* dst, const char* src, size_t bytes, bool par) {
+void copy_region(void* dst, const char* src, size_t bytes) {
   constexpr size_t kChunk = size_t{1} << 22;
   if (bytes == 0) return;  // dst may be null for empty regions
-  if (!par || bytes <= kChunk) {
+  if (bytes <= kChunk) {
     std::memcpy(dst, src, bytes);
     return;
   }
@@ -935,12 +857,12 @@ graph read_binary_graph(const std::string& path, const io_options& opt) {
   const char* edge_bytes = offset_bytes + offset_len;
   const size_t edge_len = static_cast<size_t>(m) * sizeof(vertex_id);
 
-  if (has_sum && opt.verify_checksum) {
+  if (has_sum) {
     parallel::scoped_phase ph(opt.phases, "io.checksum");
     uint64_t stored = 0;
     std::memcpy(&stored, data + size - 8, 8);
     const uint64_t computed =
-        binary_checksum(n, m, offset_bytes, offset_len, edge_bytes, edge_len);
+        v2_checksum(n, m, offset_bytes, offset_len, edge_bytes, edge_len);
     if (stored != computed) fail(path, "checksum mismatch (corrupt file)");
   }
 
@@ -948,38 +870,25 @@ graph read_binary_graph(const std::string& path, const io_options& opt) {
   std::vector<vertex_id> edges(m);
   {
     parallel::scoped_phase ph(opt.phases, "io.parse");
-    copy_region(offsets.data(), offset_bytes, offset_len, opt.parallel);
-    copy_region(edges.data(), edge_bytes, edge_len, opt.parallel);
+    copy_region(offsets.data(), offset_bytes, offset_len);
+    copy_region(edges.data(), edge_bytes, edge_len);
   }
   {
     parallel::scoped_phase ph(opt.phases, "io.validate");
     if (offsets[0] != 0) fail(path, "first offset must be 0");
     if (offsets[n] != m) fail(path, "inconsistent offsets");
-    if (opt.parallel) {
-      const size_t bad_off = parallel::count_if_index(
-          n, [&](size_t i) { return offsets[i] > offsets[i + 1]; });
-      if (bad_off != 0) fail(path, "offsets not monotone");
-      const size_t bad_tgt = parallel::count_if_index(
-          m, [&](size_t i) { return edges[i] >= n; });
-      if (bad_tgt != 0) fail(path, "edge target out of range");
-    } else {
-      for (uint64_t i = 0; i < n; ++i) {
-        if (offsets[i] > offsets[i + 1]) fail(path, "offsets not monotone");
-      }
-      for (vertex_id t : edges) {
-        if (t >= n) fail(path, "edge target out of range");
-      }
-    }
+    const size_t bad_off = parallel::count_if_index(
+        n, [&](size_t i) { return offsets[i] > offsets[i + 1]; });
+    if (bad_off != 0) fail(path, "offsets not monotone");
+    const size_t bad_tgt = parallel::count_if_index(
+        m, [&](size_t i) { return edges[i] >= n; });
+    if (bad_tgt != 0) fail(path, "edge target out of range");
   }
   return graph(std::move(offsets), std::move(edges));
 }
 
 void write_binary_graph(const graph& g, const std::string& path,
                         const io_options& opt) {
-  if (opt.binary_version != 1 && opt.binary_version != 2) {
-    fail(path, "unsupported binary version " +
-                   std::to_string(opt.binary_version));
-  }
   parallel::scoped_phase ph(opt.phases, "io.write");
   std::ofstream out(path, std::ios::binary);
   if (!out) fail(path, "cannot open for writing");
@@ -990,24 +899,14 @@ void write_binary_graph(const graph& g, const std::string& path,
   const size_t offset_len = g.offsets().size() * sizeof(edge_id);
   const char* edge_bytes = reinterpret_cast<const char*>(g.edges().data());
   const size_t edge_len = g.edges().size() * sizeof(vertex_id);
-  if (opt.binary_version == 1) {
-    out.write(kBinaryMagicV1, 4);
-    write_pod(out, n);
-    write_pod(out, m);
-  } else {
-    const uint32_t flags = opt.binary_checksum ? kFlagChecksum : 0;
-    out.write(kBinaryMagicV2, 4);
-    write_pod(out, flags);
-    write_pod(out, n);
-    write_pod(out, m);
-  }
+  out.write(kBinaryMagicV2, 4);
+  write_pod(out, kFlagChecksum);
+  write_pod(out, n);
+  write_pod(out, m);
   out.write(offset_bytes, static_cast<std::streamsize>(offset_len));
   out.write(edge_bytes, static_cast<std::streamsize>(edge_len));
-  if (opt.binary_version == 2 && opt.binary_checksum) {
-    const uint64_t sum =
-        binary_checksum(n, m, offset_bytes, offset_len, edge_bytes, edge_len);
-    write_pod(out, sum);
-  }
+  write_pod(out,
+            v2_checksum(n, m, offset_bytes, offset_len, edge_bytes, edge_len));
   if (!out) fail(path, "write failed");
 }
 

@@ -3,11 +3,12 @@
 //
 // The paper's inputs are PBBS-generated graphs plus com-Orkut from SNAP;
 // at that scale (1e8-5e8 edges) a serial `operator>>` parse dwarfs the
-// connectivity computation itself, so every reader has a parallel path:
+// connectivity computation itself, so every reader is parallel:
 // the file is mapped (mmap, with a read() fallback), split into
 // token/record-aligned chunks, and parsed with std::from_chars in
-// parallel_for. The serial readers are kept behind io_options::parallel
-// for A/B measurement (bench_io) and produce byte-identical CSR output.
+// parallel_for. Each format has exactly one reader; the iostream readers
+// they replaced live on in tests/graph/test_io.cpp as the reference the
+// parallel ones must match CSR for CSR.
 #pragma once
 
 #include <string>
@@ -30,18 +31,9 @@ enum class file_format {
 file_format format_from_name(const std::string& name);
 
 struct io_options {
-  // Chunked mmap + from_chars parse; false selects the reference serial
-  // readers (kept for A/B benchmarking and differential tests).
-  bool parallel = true;
   // Map the file read-only; false (or an mmap failure) falls back to
   // buffered read() into memory.
   bool use_mmap = true;
-  // Verify the checksum trailer of binary v2 files that carry one.
-  bool verify_checksum = true;
-  // Write side: binary format version to emit (2, or 1 for the legacy
-  // uncheckedsummed "PCCG" layout) and whether v2 appends a checksum.
-  int binary_version = 2;
-  bool binary_checksum = true;
   // Per-phase wall-clock accounting ("io.map", "io.parse", "io.compact",
   // "io.build", "io.validate", "io.checksum", "io.write"); null disables.
   parallel::phase_timer* phases = nullptr;
@@ -81,7 +73,9 @@ void write_adjacency_graph(const graph& g, const std::string& path);
 //       DESIGN.md). The file size must match the header exactly, so
 //       truncation and trailing garbage are detected structurally.
 //   v1: magic "PCCG", u64 n, u64 m, offsets, edges (no flags/checksum);
-//       still readable, no longer written by default.
+//       still readable, no longer written.
+// The writer always emits v2 with the checksum; the reader also accepts
+// v1 files and v2 files without one, which older writers produced.
 // Orders of magnitude faster than the text format at the paper's
 // 1e8-edge scale.
 graph read_binary_graph(const std::string& path, const io_options& opt = {});
@@ -89,9 +83,9 @@ void write_binary_graph(const graph& g, const std::string& path,
                         const io_options& opt = {});
 
 // SNAP edge list: lines of "u<TAB or SPACE>v"; '#' lines are comments.
-// Vertex ids are compacted to [0, n) in first-appearance order (identical
-// for the serial and parallel paths); the graph is symmetrized and
-// deduplicated. Throws std::runtime_error on malformed input.
+// Vertex ids are compacted to [0, n) in first-appearance order; the graph
+// is symmetrized and deduplicated. Throws std::runtime_error on malformed
+// input.
 graph read_snap_edge_list(const std::string& path, const io_options& opt = {});
 void write_edge_list(const graph& g, const std::string& path);
 

@@ -206,13 +206,6 @@ TEST_F(CliTest, AutoFormatDetection) {
             0);
 }
 
-TEST_F(CliTest, SerialIoFlagWorks) {
-  ASSERT_EQ(run(tool("pcc_gen") + " --type cycle --n 60 " + path("g.adj")), 0);
-  EXPECT_EQ(run(tool("pcc_components") + " --serial-io " + path("g.adj") +
-                " --verify"),
-            0);
-}
-
 TEST_F(CliTest, CorruptBinaryFailsWithDiagnostic) {
   ASSERT_EQ(run(tool("pcc_gen") + " --type cycle --n 100 --format badj " +
                 path("g.badj")),

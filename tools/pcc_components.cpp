@@ -26,7 +26,7 @@ constexpr const char kUsage[] =
     "                      [--beta B] [--seed S] [--threads T] [--repeat N]\n"
     "                      [--reorder {auto|none|degree|hub|bfs}]\n"
     "                      [--out labels.txt] [--forest forest.txt]\n"
-    "                      [--stats] [--verify] [--verbose] [--serial-io]\n"
+    "                      [--stats] [--verify] [--verbose]\n"
     "                      INPUT\n"
     "  --algo NAME  a registered algorithm (default: auto, which probes the\n"
     "               graph and picks one); `--algo help` lists them all.\n"
@@ -44,9 +44,7 @@ constexpr const char kUsage[] =
     "               last run's time went: a `phases:` line with each phase,\n"
     "               their sum and that run's wall time, in ms.\n"
     "  --verbose    print the probed graph statistics and which algorithm\n"
-    "               `auto` selected.\n"
-    "  --serial-io  use the reference serial loaders instead of the\n"
-    "               parallel mmap + from_chars path (A/B debugging aid).\n";
+    "               `auto` selected.\n";
 
 using namespace pcc;
 
@@ -55,7 +53,7 @@ int run(int argc, char** argv) {
       argc, argv,
       {"format", "algo", "beta", "seed", "threads", "repeat", "out", "forest",
        "reorder"},
-      {"stats", "verify", "verbose", "serial-io"});
+      {"stats", "verify", "verbose"});
   if (args.positionals().size() != 1) tools::usage_and_exit(kUsage);
 
   const std::string input = args.positionals()[0];
@@ -87,7 +85,6 @@ int run(int argc, char** argv) {
 
   parallel::phase_timer io_phases;
   graph::io_options io;
-  io.parallel = !args.has("serial-io");
   io.phases = &io_phases;
 
   graph::graph g;

@@ -26,7 +26,7 @@ namespace {
 constexpr const char kUsage[] =
     "usage: pcc_query [--format {auto|adj|badj|snap}] [--beta B] [--seed S]\n"
     "                 [--threads T]\n"
-    "                 [--reorder {auto|none|degree|hub|bfs}] [--serial-io]\n"
+    "                 [--reorder {auto|none|degree|hub|bfs}]\n"
     "                 INPUT COMMAND [ARGS]\n"
     "commands:\n"
     "  path U V     edges on the unique forest path between vertices U, V\n"
@@ -53,10 +53,8 @@ vertex_id parse_vertex(const std::string& s, size_t n) {
 }
 
 int run(int argc, char** argv) {
-  tools::arg_parser args(
-      argc, argv,
-      {"format", "beta", "seed", "threads", "reorder"},
-      {"serial-io"});
+  tools::arg_parser args(argc, argv,
+                         {"format", "beta", "seed", "threads", "reorder"}, {});
   if (args.positionals().size() < 2) tools::usage_and_exit(kUsage);
   const std::string input = args.positionals()[0];
   const std::string command = args.positionals()[1];
@@ -84,13 +82,11 @@ int run(int argc, char** argv) {
                            " (expected auto, none, degree, hub or bfs)");
   }
 
-  graph::io_options io;
-  io.parallel = !args.has("serial-io");
   graph::graph g;
   parallel::timer load_timer;
   try {
     g = graph::load_graph(input, graph::format_from_name(
-                                     args.get("format", "auto")), io);
+                                     args.get("format", "auto")));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
