@@ -5,8 +5,8 @@
 //       different clusterings, so this times schedule and clustering
 //       together;
 //   (b) duplicate-edge removal during contraction on vs off — the paper
-//       notes correctness holds either way; dedup pays a hash-table pass to
-//       shrink later levels;
+//       notes correctness holds either way; dedup pays a scan-pack over the
+//       sorted pairs to shrink later levels;
 //   (c) the hybrid's dense-threshold — the paper uses 20% of the vertices;
 //   (e) the "auto" selector vs every fixed algorithm on one instance of
 //       each generator class, dumped to results/BENCH_ablation.json.

@@ -3,15 +3,25 @@
 // decomp-arb-CC (init / bfsPre / bfsMain / contractGraph) and
 // decomp-arb-hybrid-CC (init / bfsPre / bfsSparse / bfsDense / filterEdges /
 // contractGraph) on random, rMat, 3D-grid and line. Each row also shows
-// `lift`, the engine's RELABELUP pass, so the row covers the whole run; the
-// paper counts that pass inside contractGraph.
+// `lift`, the engine's RELABELUP pass; the paper counts that pass inside
+// contractGraph.
+//
+// Inputs are four of paper_graph_suite()'s (random, rMat and 3D-grid at
+// scaled(100000) vertices, line at 5x that). Each variant answers every
+// graph on one warm algo_workspace: one untimed run, then num_trials()
+// timed runs with stats on. A row is the run with the median wall time:
+// its phases, their sum, its wall time and the unattributed remainder
+// (wall - sum), in seconds; bfs% is the BFS phases' (and filterEdges')
+// share of that wall time.
 //
 // Shape expectations: decomp-min spends 80-90% in the two BFS phases with
 // phase 1 the heavier; decomp-arb spends 55-75% in its single BFS phase;
 // hybrid uses bfsDense only on random/rMat (their frontiers get dense) and
 // pays for it in filterEdges, while 3D-grid and line stay entirely sparse.
 
+#include <algorithm>
 #include <cstdio>
+#include <numeric>
 
 #include "bench_common.hpp"
 
@@ -20,30 +30,44 @@ namespace {
 using namespace pcc;
 using namespace pcc::bench;
 
-void print_breakdown(const std::string& title, cc::decomp_variant variant,
+void print_breakdown(const std::string& title, const char* entry,
                      const std::vector<std::string>& phases,
                      const std::vector<named_graph>& suite) {
   std::printf("\n--- %s ---\n", title.c_str());
   std::printf("%-10s", "graph");
   for (const auto& p : phases) std::printf(" %12s", p.c_str());
-  std::printf(" %12s %8s\n", "total", "bfs%");
+  std::printf(" %9s %9s %9s %6s\n", "sum", "wall", "unattr", "bfs%");
+  const cc::algorithm* algo = cc::find_algorithm(entry);
+  cc::cc_options opt;
+  opt.beta = 0.2;
+  cc::algo_workspace ws;
   for (const auto& [gname, g] : suite) {
-    cc::cc_options opt;
-    opt.algorithm = "decomp";
-    opt.variant = variant;
-    opt.beta = 0.2;
-    cc::cc_stats stats;
-    (void)cc::connected_components(g, opt, &stats);
+    std::vector<vertex_id> labels(g.num_vertices());
+    cc::run_algorithm(*algo, g, opt, ws, labels);  // warm the arenas
+    const int trials = num_trials();
+    std::vector<cc::cc_stats> stats(static_cast<size_t>(trials));
+    std::vector<double> wall(static_cast<size_t>(trials));
+    for (size_t t = 0; t < wall.size(); ++t) {
+      parallel::timer timer;
+      cc::run_algorithm(*algo, g, opt, ws, labels, &stats[t]);
+      wall[t] = timer.elapsed();
+    }
+    std::vector<size_t> order(wall.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](size_t a, size_t b) { return wall[a] < wall[b]; });
+    const size_t med = order[order.size() / 2];
+    const cc::cc_stats& st = stats[med];
     std::printf("%-10s", gname.c_str());
     double bfs_time = 0;
     for (const auto& p : phases) {
-      const double t = stats.phases.get(p);
+      const double t = st.phases.get(p);
       if (p.rfind("bfs", 0) == 0 || p == "filterEdges") bfs_time += t;
       std::printf(" %12.4f", t);
     }
-    const double total = stats.phases.total();
-    std::printf(" %12.4f %7.1f%%\n", total,
-                total > 0 ? 100.0 * bfs_time / total : 0.0);
+    const double sum = st.phases.total();
+    std::printf(" %9.4f %9.4f %9.4f %5.1f%%\n", sum, wall[med],
+                wall[med] - sum, 100.0 * bfs_time / wall[med]);
   }
 }
 
@@ -52,24 +76,24 @@ void print_breakdown(const std::string& title, cc::decomp_variant variant,
 int main() {
   print_header("Figures 5-7: per-phase breakdown of the decomposition CCs");
 
-  const size_t base = scaled(50000);
+  // The paper's Figures 5-7 leave out rMat2 and com-Orkut; a PCC_GRAPH
+  // input is kept.
   std::vector<named_graph> suite;
-  suite.push_back({"random", graph::random_graph(base, 5, 51)});
-  suite.push_back({"rMat", graph::rmat_graph(base, 5 * base, 52,
-                                             {.a = 0.5, .b = 0.1, .c = 0.1})});
-  suite.push_back({"3D-grid", graph::grid3d_graph(base, true, 53)});
-  suite.push_back({"line", graph::line_graph(2 * base, false)});
+  for (auto& ng : paper_graph_suite()) {
+    if (ng.name != "rMat2" && ng.name != "com-Orkut-sim") {
+      suite.push_back(std::move(ng));
+    }
+  }
 
   print_breakdown(
-      "Figure 5: decomp-min-CC", cc::decomp_variant::kMin,
+      "Figure 5: decomp-min-CC", "decomp-min",
       {"init", "bfsPre", "bfsPhase1", "bfsPhase2", "bfsPost", "contractGraph",
        "lift"},
       suite);
-  print_breakdown("Figure 6: decomp-arb-CC", cc::decomp_variant::kArb,
+  print_breakdown("Figure 6: decomp-arb-CC", "decomp-arb",
                   {"init", "bfsPre", "bfsMain", "contractGraph", "lift"},
                   suite);
-  print_breakdown("Figure 7: decomp-arb-hybrid-CC",
-                  cc::decomp_variant::kArbHybrid,
+  print_breakdown("Figure 7: decomp-arb-hybrid-CC", "decomp-arb-hybrid",
                   {"init", "bfsPre", "bfsSparse", "bfsDense", "filterEdges",
                    "contractGraph", "lift"},
                   suite);

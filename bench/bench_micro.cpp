@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the parallel primitives the
 // connectivity pipeline is built from: scan, pack, radix sort, random
-// permutation, hash-set dedup, BFS, the shift schedule, and single
-// decomposition calls.
+// permutation, BFS, the shift schedule, and single decomposition calls,
+// plus warm engine runs.
 //
 // Besides the normal console output, the run is summarized as
 // results/BENCH_micro.json (median + min of the per-repetition real times;
@@ -10,13 +10,11 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <cstring>
 #include <map>
 
 #include "bench_common.hpp"
 #include "core/ldd_internal.hpp"
-#include "parallel/emit.hpp"
 #include "pcc.hpp"
 
 namespace {
@@ -70,91 +68,6 @@ void BM_RandomPermutation(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
 }
 BENCHMARK(BM_RandomPermutation)->Arg(1 << 14)->Arg(1 << 18);
-
-// --- the contraction's dedup routes, apples to apples --------------------
-// Matched inputs for core/contract.cpp's two duplicate-removal routes:
-// n packed (src << 32 | tgt) pair keys with src, tgt uniform over
-// [0, kv) and kv = sqrt(n / dup), so the expected duplication ratio is
-// `dup` — the m/k density choose_dedup_route() keys on. Both kernels
-// consume identical arrays and both end at the same deduplicated, SORTED
-// pair array the contraction needs (hash: phase-concurrent insert + pack
-// + sort survivors; sort: sort everything + adjacent-unique pack), so the
-// medians are directly comparable and calibrate the chooser.
-std::vector<uint64_t> dedup_pair_keys(size_t n, size_t dup, size_t* kv_out) {
-  const size_t kv = std::max<size_t>(
-      2, static_cast<size_t>(std::sqrt(static_cast<double>(n) /
-                                       static_cast<double>(dup))));
-  *kv_out = kv;
-  parallel::rng gen(2);
-  std::vector<uint64_t> keys(n);
-  for (size_t i = 0; i < n; ++i) {
-    keys[i] = ((gen[2 * i] % kv) << 32) | (gen[2 * i + 1] % kv);
-  }
-  return keys;
-}
-
-void BM_HashSetDedup(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const size_t dup = static_cast<size_t>(state.range(1));
-  size_t kv = 0;
-  const std::vector<uint64_t> keys = dedup_pair_keys(n, dup, &kv);
-  const int b = parallel::bits_needed(kv);
-  const uint64_t tmask = b >= 32 ? ~uint32_t{0} : (uint64_t{1} << b) - 1;
-  parallel::workspace ws;
-  for (auto _ : state) {
-    parallel::workspace::scope s(ws);
-    std::span<uint64_t> slots =
-        ws.take<uint64_t>(parallel::hash_set64_view::slots_needed(n));
-    parallel::hash_set64_view set(slots);
-    std::span<uint64_t> deduped = ws.take<uint64_t>(n);
-    const size_t num = parallel::emit_pack<uint64_t>(
-        n, deduped, ws, [&](size_t i, parallel::emitter<uint64_t>& em) {
-          if (set.insert(keys[i])) em(keys[i]);
-        });
-    parallel::integer_sort_span(
-        deduped.first(num), 2 * b,
-        [b, tmask](uint64_t p) { return ((p >> 32) << b) | (p & tmask); },
-        ws);
-    benchmark::DoNotOptimize(deduped.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
-}
-BENCHMARK(BM_HashSetDedup)
-    ->Args({1 << 14, 4})
-    ->Args({1 << 18, 1})
-    ->Args({1 << 18, 4})
-    ->Args({1 << 18, 16});
-
-void BM_SortDedup(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const size_t dup = static_cast<size_t>(state.range(1));
-  size_t kv = 0;
-  const std::vector<uint64_t> keys = dedup_pair_keys(n, dup, &kv);
-  const int b = parallel::bits_needed(kv);
-  const uint64_t tmask = b >= 32 ? ~uint32_t{0} : (uint64_t{1} << b) - 1;
-  parallel::workspace ws;
-  for (auto _ : state) {
-    parallel::workspace::scope s(ws);
-    std::span<uint64_t> v = ws.take<uint64_t>(n);
-    parallel::parallel_for(0, n, [&](size_t i) { v[i] = keys[i]; });
-    parallel::integer_sort_span(
-        v, 2 * b,
-        [b, tmask](uint64_t p) { return ((p >> 32) << b) | (p & tmask); },
-        ws);
-    std::span<uint64_t> deduped = ws.take<uint64_t>(n);
-    const size_t num = parallel::emit_pack<uint64_t>(
-        n, deduped, ws, [&](size_t i, parallel::emitter<uint64_t>& em) {
-          if (i == 0 || v[i] != v[i - 1]) em(v[i]);
-        });
-    benchmark::DoNotOptimize(num);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
-}
-BENCHMARK(BM_SortDedup)
-    ->Args({1 << 14, 4})
-    ->Args({1 << 18, 1})
-    ->Args({1 << 18, 4})
-    ->Args({1 << 18, 16});
 
 void BM_ParallelBfs(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -222,9 +222,9 @@ cc_engine::forest_result cc_engine::run_levels(const graph::graph& g,
     const contraction_view cv =
         kWitness ? contract_into(cur, std::span<const uint64_t>(cur_witness),
                                  cluster, opt.dedup, persist_,
-                                 graph_[1 - ping], scratch_, opt.dedup_route)
+                                 graph_[1 - ping], scratch_)
                  : contract_into(cur, cluster, opt.dedup, persist_,
-                                 graph_[1 - ping], scratch_, opt.dedup_route);
+                                 graph_[1 - ping], scratch_);
     if (stats != nullptr) {
       stats->phases.add("contractGraph", contract_timer.elapsed());
       level_stats ls;
@@ -238,7 +238,6 @@ cc_engine::forest_result cc_engine::run_levels(const graph::graph& g,
                               : 0;
       ls.bfs_rounds = dec.num_rounds;
       ls.dense_rounds = dec.num_dense_rounds;
-      ls.dedup_route = cv.dedup_route;
       stats->levels.push_back(ls);
     }
 

@@ -10,7 +10,8 @@
 //                cluster / new_id / rep arrays the lift pass reads back
 //                down the level stack.
 //   scratch_   — per-level transients (shift schedule, frontiers, flag
-//                arrays, packed pairs, hash table); rewound after each use.
+//                arrays, packed pairs, sort buffers); rewound after each
+//                use.
 //   graph_[2]  — the level graphs' CSR storage (and edge witnesses),
 //                ping-ponged: contraction at level L writes G_{L+1} into
 //                the arena not holding G_L.
@@ -19,7 +20,7 @@
 // carrying a *witness*, the original-graph edge that realizes it; the BFS
 // claim edges' witnesses form the forest (n - #components edges). Its
 // decomposition (the witness mode of core/decomp_arb_hybrid.cpp) and the
-// witness-preserving dedup (contract.hpp) are deterministic, so the forest
+// witness-preserving sort-dedup (contract.hpp) are deterministic, so the forest
 // is a pure function of (graph, options), identical across worker counts
 // and schedules.
 //
@@ -77,8 +78,8 @@ class cc_engine {
   // Decomp-Arb-Hybrid, whose claims go to the minimum-rank proposal (one
   // proposal pass per sparse round plus a pack; the closing filterEdges
   // resolves the adjacencies) so the forest does not depend on the worker
-  // count (opt.variant does not apply; opt.dedup_route steers the
-  // witness-preserving dedup).
+  // count (opt.variant does not apply; with opt.dedup each contracted pair
+  // keeps its minimum-gather-rank witness).
   forest_result run_forest(const graph::graph& g, const cc_options& opt,
                            cc_stats* stats = nullptr);
 

@@ -57,11 +57,10 @@ struct cc_options {
   // Remove duplicate inter-cluster edges when contracting (paper default;
   // correctness holds either way).
   bool dedup = true;
-  // Duplicate-removal route when dedup is on: kAuto picks per level via
-  // choose_dedup_route from that level's measured edge/vertex counts;
-  // kHash / kSort pin one route. Pure performance knob — the contracted
-  // CSR is byte-identical either way.
-  dedup_strategy dedup_route = dedup_strategy::kAuto;
+  // Duplicate-removal route. It has one value, kSort, and nothing in the
+  // library reads it; it stays because perfbench/perfbench.cpp passes it to
+  // contract_into.
+  dedup_strategy dedup_route = dedup_strategy::kSort;
   // Locality relabeling applied around the selected algorithm.
   reorder_policy reorder = reorder_policy::kAuto;
   uint64_t seed = 42;
@@ -85,9 +84,6 @@ struct level_stats {
   size_t num_singletons = 0;
   size_t bfs_rounds = 0;
   size_t dense_rounds = 0;
-  // Dedup route the contraction took at this level: "hash", "sort", or
-  // "off" (static string, never owned).
-  const char* dedup_route = "off";
 };
 
 struct cc_stats {

@@ -5,7 +5,9 @@
 // edges (usually far fewer than the original edges), relabel their sources,
 // and use a linear-work integer sort to bring each contracted vertex's
 // edges together. Duplicate edges between the same cluster pair are removed
-// with a parallel (phase-concurrent) hash table.
+// by that same sort: equal pairs land next to each other, and a scan-pack
+// keeps the first of each run. (The paper removes them with a
+// phase-concurrent hash table; DESIGN.md §3 says why this does not.)
 
 #include "core/contract.hpp"
 
@@ -17,8 +19,6 @@
 #include "graph/builder.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/emit.hpp"
-#include "parallel/hash_map.hpp"
-#include "parallel/hash_table.hpp"
 #include "parallel/integer_sort.hpp"
 #include "parallel/scheduler.hpp"
 #include "parallel/sequence.hpp"
@@ -55,49 +55,8 @@ work_graph work_graph::over(size_t n, std::span<const edge_id> offsets,
 namespace pcc::cc {
 
 namespace {
+
 using parallel::parallel_for;
-}  // namespace
-
-const char* dedup_strategy_name(dedup_strategy s) {
-  switch (s) {
-    case dedup_strategy::kAuto:
-      return "auto";
-    case dedup_strategy::kHash:
-      return "hash";
-    case dedup_strategy::kSort:
-      return "sort";
-  }
-  return "?";
-}
-
-dedup_strategy choose_dedup_route(size_t m, size_t k) {
-  if (m == 0) return dedup_strategy::kSort;
-  // Cost model, calibrated on the BM_SortDedup / BM_HashSetDedup micro
-  // pair (1 thread, n=2^18 pairs: sort 2.0x faster at duplication 1, 1.5x
-  // at 4, hash ~1.1x faster at 16): the sort route is ceil(2b/8) radix
-  // passes of streaming sweeps over m packed keys (b = bits per
-  // contracted id); the hash route is one random probe per key into a
-  // ~2m-slot table plus the same sort over the survivors. A streaming
-  // pass is far cheaper per element than a cold random probe, so sort
-  // wins while keys are narrow — EXCEPT when the undirected pair space
-  // k^2/2 is saturated (duplication at least m/(k^2/2)): then the table's
-  // hot set is tiny and stays cached, probes get cheap, and the survivor
-  // sort shrinks by the duplication factor. Measured crossover ~16x.
-  const int passes = (2 * parallel::bits_needed(k == 0 ? 1 : k) + 7) / 8;
-  const double cap =
-      k == 0 ? 1.0 : std::max(1.0, 0.5 * static_cast<double>(k) *
-                                       static_cast<double>(k));
-  const double dup_est =
-      static_cast<double>(m) / std::min(static_cast<double>(m), cap);
-  if (dup_est >= 16.0) return dedup_strategy::kHash;
-  if (passes <= 4) return dedup_strategy::kSort;
-  // Wide key: the probe (~3 pass-equivalents, cold) beats 5+ passes once
-  // duplication shrinks the survivor sort meaningfully.
-  const size_t dup_ratio = k == 0 ? m : m / k;
-  return dup_ratio >= 8 ? dedup_strategy::kHash : dedup_strategy::kSort;
-}
-
-namespace {
 
 // The first stages of a contraction: per-vertex gather offsets into the
 // packed pair array, surviving-cluster detection, contracted id assignment
@@ -223,18 +182,15 @@ std::span<Rec> gather_kept(const ldd::work_graph& wg,
   return recs;
 }
 
-// Both contract_into overloads. Rec is what the sort route gathers per kept
-// edge: the packed pair alone (labels), or the pair with its witness
-// (forest). The hash route gathers plain pairs in either mode.
+// Both contract_into overloads. Rec is what is gathered per kept edge: the
+// packed pair alone (labels), or the pair with its witness (forest).
 template <typename Rec>
 contraction_view contract_impl(const ldd::work_graph& wg,
                                std::span<const uint64_t> witness,
                                std::span<const vertex_id> cluster, bool dedup,
                                parallel::workspace& persist_ws,
                                parallel::workspace& graph_ws,
-                               parallel::workspace& scratch_ws,
-                               dedup_strategy strategy) {
-  constexpr bool kWitness = std::is_same_v<Rec, witness_pair>;
+                               parallel::workspace& scratch_ws) {
   contraction_view out;
   parallel::workspace::scope s(scratch_ws);
   std::span<edge_id> gather_off =
@@ -245,9 +201,8 @@ contraction_view contract_impl(const ldd::work_graph& wg,
   // Semisort key: the packed (src, tgt) pair with the two id fields
   // compacted so the radix passes cover both. One total sort by this key
   // clusters each contracted vertex's edges together and orders them, which
-  // keeps the output deterministic whether or not dedup ran — and a set of
-  // pairs has exactly one sorted order, so both dedup routes below produce
-  // a byte-identical contracted CSR. Witnesses never enter the key.
+  // keeps the output deterministic whether or not dedup ran. Witnesses
+  // never enter the key.
   const int b = parallel::bits_needed(k == 0 ? 1 : k);
   const uint64_t tmask = b >= 32 ? ~uint32_t{0} : (uint64_t{1} << b) - 1;
   const auto key = [b, tmask](const auto& r) {
@@ -255,109 +210,42 @@ contraction_view contract_impl(const ldd::work_graph& wg,
     return ((p >> 32) << b) | (p & tmask);
   };
 
-  // The flattened gather position (base + i) is an edge's deterministic
-  // *gather rank*: it depends only on the CSR layout and the decomposition
-  // labeling, never on scheduling, so "minimum gather rank" is a
-  // scheduler-independent tie-break for witness selection under dedup.
-  const bool dedup_any = dedup && total_kept > 0;
-  const dedup_strategy route =
-      !dedup_any ? dedup_strategy::kSort
-                 : (strategy == dedup_strategy::kAuto
-                        ? choose_dedup_route(total_kept, k)
-                        : strategy);
-  if (dedup_any) out.dedup_route = dedup_strategy_name(route);
-
+  // Sort, then drop adjacent duplicates with a scan-pack. In forest mode
+  // the witness rides along the radix passes. The flattened gather
+  // position (base + i) is an edge's deterministic *gather rank*: it
+  // depends only on the CSR layout and the decomposition labeling, never on
+  // scheduling. The sort is stable (LSD), so within a run of equal pairs
+  // the gather order survives, and keeping the first of each run selects
+  // the minimum-gather-rank witness.
+  std::span<Rec> recs = gather_kept<Rec>(wg, cluster, out.new_id, gather_off,
+                                         witness, total_kept, scratch_ws);
+  parallel::integer_sort_span(recs, 2 * b, key, scratch_ws);
+  if (dedup && total_kept > 0) {
+    out.dedup_route = "sort";
+    std::span<Rec> deduped = scratch_ws.take<Rec>(recs.size());
+    const size_t num_deduped = parallel::emit_pack<Rec>(
+        recs.size(), deduped, scratch_ws,
+        [&](size_t i, parallel::emitter<Rec>& em) {
+          if (i == 0 || pair_of(recs[i]) != pair_of(recs[i - 1])) {
+            em(recs[i]);
+          }
+        });
+    recs = deduped.first(num_deduped);
+  }
   std::span<uint64_t> sorted;  // the contracted pairs, in key order
   std::span<uint64_t> owit;    // parallel to `sorted` (forest mode)
-  if (route == dedup_strategy::kHash) {
-    // Phase-concurrent insert; the winner of each key emits it, and
-    // emit_pack's block-local staging packs the winners in index order —
-    // no shared cursor, and the compacted array's order depends only on
-    // which duplicate won each insert race (the sort below is total on
-    // the distinct keys, so the final CSR is deterministic regardless).
-    // Forest mode gathers the same plain pairs and folds each pair's
-    // gather rank into a map with an atomic write_min (deterministic
-    // regardless of arrival order); witnesses are pulled only for the
-    // distinct survivors, after the sort.
-    std::span<uint64_t> pairs = gather_kept<uint64_t>(
-        wg, cluster, out.new_id, gather_off, witness, total_kept, scratch_ws);
-    std::span<uint64_t> keys = scratch_ws.take<uint64_t>(
-        parallel::hash_set64_view::slots_needed(pairs.size()));
-    using table_t = std::conditional_t<kWitness, parallel::hash_map64_view,
-                                       parallel::hash_set64_view>;
-    table_t table = [&] {
-      if constexpr (kWitness) {
-        return table_t(keys, scratch_ws.take<uint64_t>(keys.size()));
-      } else {
-        return table_t(keys);
-      }
-    }();
-    std::span<uint64_t> deduped = scratch_ws.take<uint64_t>(pairs.size());
-    const size_t num_deduped = parallel::emit_pack<uint64_t>(
-        pairs.size(), deduped, scratch_ws,
-        [&](size_t i, parallel::emitter<uint64_t>& em) {
-          bool first;
-          if constexpr (kWitness) {
-            first = table.insert_min(pairs[i], i);
-          } else {
-            first = table.insert(pairs[i]);
-          }
-          if (first) em(pairs[i]);
-        });
-    sorted = deduped.first(num_deduped);
-    parallel::integer_sort_span(sorted, 2 * b, key, scratch_ws);
-    if constexpr (kWitness) {
-      // A gather rank names its original CSR slot through gather_off (an
-      // exclusive scan): the owner is the last v with gather_off[v] <=
-      // rank, and the slot is rank's offset into v's kept prefix. Only the
-      // distinct survivors ever invert, so the binary search cost is
-      // negligible.
-      owit = graph_ws.take<uint64_t>(sorted.size());
-      parallel_for(0, sorted.size(), [&](size_t j) {
-        uint64_t rank = ~uint64_t{0};
-        const bool found = table.find(sorted[j], &rank);
-        assert(found);
-        (void)found;
-        const auto it =
-            std::upper_bound(gather_off.begin(), gather_off.end(), rank);
-        const size_t v = static_cast<size_t>(it - gather_off.begin()) - 1;
-        // lint: private-write(owner index j)
-        owit[j] = witness[wg.offsets[v] + (rank - gather_off[v])];
-      });
-    }
+  if constexpr (std::is_same_v<Rec, witness_pair>) {
+    // Split the records: packed pairs feed the CSR build (temporary),
+    // witnesses go to graph_ws so they live exactly as long as the
+    // contracted CSR they parallel.
+    sorted = scratch_ws.take<uint64_t>(recs.size());
+    owit = graph_ws.take<uint64_t>(recs.size());
+    parallel_for(0, recs.size(), [&](size_t i) {
+      sorted[i] = recs[i].pair;   // lint: private-write(owner index i)
+      owit[i] = recs[i].witness;  // lint: private-write(owner index i)
+    });
   } else {
-    // Sort route (and the no-dedup path): sort first, then drop adjacent
-    // duplicates with a scan-pack. In forest mode the witness rides along
-    // the radix passes; the sort is stable (LSD), so within a run of equal
-    // pairs the gather order survives, and keeping the first of each run
-    // selects the minimum-gather-rank witness.
-    std::span<Rec> recs = gather_kept<Rec>(
-        wg, cluster, out.new_id, gather_off, witness, total_kept, scratch_ws);
-    parallel::integer_sort_span(recs, 2 * b, key, scratch_ws);
-    if (dedup_any) {
-      std::span<Rec> deduped = scratch_ws.take<Rec>(recs.size());
-      const size_t num_deduped = parallel::emit_pack<Rec>(
-          recs.size(), deduped, scratch_ws,
-          [&](size_t i, parallel::emitter<Rec>& em) {
-            if (i == 0 || pair_of(recs[i]) != pair_of(recs[i - 1])) {
-              em(recs[i]);
-            }
-          });
-      recs = deduped.first(num_deduped);
-    }
-    if constexpr (kWitness) {
-      // Split the records: packed pairs feed the CSR build (temporary),
-      // witnesses go to graph_ws so they live exactly as long as the
-      // contracted CSR they parallel.
-      sorted = scratch_ws.take<uint64_t>(recs.size());
-      owit = graph_ws.take<uint64_t>(recs.size());
-      parallel_for(0, recs.size(), [&](size_t i) {
-        sorted[i] = recs[i].pair;   // lint: private-write(owner index i)
-        owit[i] = recs[i].witness;  // lint: private-write(owner index i)
-      });
-    } else {
-      sorted = recs;
-    }
+    sorted = recs;
   }
 
   // from_sorted_pairs_into preserves slot order (edges[i] comes from
@@ -377,9 +265,9 @@ contraction_view contract_into(const ldd::work_graph& wg,
                                parallel::workspace& persist_ws,
                                parallel::workspace& graph_ws,
                                parallel::workspace& scratch_ws,
-                               dedup_strategy strategy) {
+                               dedup_strategy) {
   return contract_impl<uint64_t>(wg, {}, cluster, dedup, persist_ws, graph_ws,
-                                 scratch_ws, strategy);
+                                 scratch_ws);
 }
 
 contraction_view contract_into(const ldd::work_graph& wg,
@@ -388,18 +276,18 @@ contraction_view contract_into(const ldd::work_graph& wg,
                                parallel::workspace& persist_ws,
                                parallel::workspace& graph_ws,
                                parallel::workspace& scratch_ws,
-                               dedup_strategy strategy) {
+                               dedup_strategy) {
   return contract_impl<witness_pair>(wg, witness, cluster, dedup, persist_ws,
-                                     graph_ws, scratch_ws, strategy);
+                                     graph_ws, scratch_ws);
 }
 
 contraction contract(const ldd::work_graph& wg, const ldd::result& dec,
-                     bool dedup, dedup_strategy strategy) {
+                     bool dedup) {
   parallel::workspace persist_ws;
   parallel::workspace graph_ws;
   parallel::workspace scratch_ws;
-  const contraction_view cv = contract_into(
-      wg, dec.cluster, dedup, persist_ws, graph_ws, scratch_ws, strategy);
+  const contraction_view cv =
+      contract_into(wg, dec.cluster, dedup, persist_ws, graph_ws, scratch_ws);
 
   contraction out;
   out.num_clusters = dec.num_clusters;

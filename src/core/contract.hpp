@@ -10,31 +10,12 @@
 
 namespace pcc::cc {
 
-// How duplicate inter-cluster edges are removed during contraction.
-//   kHash  phase-concurrent hash-set insert (the paper's choice): one
-//          random probe per edge into a ~2m-slot table, then a radix sort
-//          over the survivors.
-//   kSort  sort-dedup: radix sort the packed (src, tgt) pairs first, then
-//          drop adjacent duplicates with a scan-pack. All sweeps are
-//          sequential-access, and the sort the contraction needs anyway is
-//          folded in.
-//   kAuto  choose_dedup_route() picks per level from the measured
-//          inter-cluster edge count and the contracted vertex count.
-// Both routes produce the identical deduplicated, sorted pair array (a set
-// has one sorted order), so the contracted CSR is byte-identical either
-// way — the choice is purely a performance knob.
-enum class dedup_strategy : uint8_t { kAuto, kHash, kSort };
-
-const char* dedup_strategy_name(dedup_strategy s);
-
-// The kAuto decision: pure function of the directed inter-cluster edge
-// count `m` and the contracted vertex count `k`. Calibrated against the
-// BM_SortDedup / BM_HashSetDedup micro pair (results/BENCH_micro.json; see
-// EXPERIMENTS.md "Dedup route micro pair"): the radix route wins whenever
-// its pass count over m beats one random probe per edge into a 2m-slot
-// table, which on the measured corpus is every narrow-key level; the hash
-// route only pays off when the key is wide AND duplication is light.
-dedup_strategy choose_dedup_route(size_t m, size_t k);
+// How duplicate inter-cluster edges are removed during contraction. There
+// is one route: radix sort the packed (src, tgt) pairs, then drop adjacent
+// duplicates with a scan-pack. The enum and the contract_into parameter
+// that carries it remain only because perfbench/perfbench.cpp passes
+// cc_options::dedup_route to contract_into; nothing in the library reads it.
+enum class dedup_strategy : uint8_t { kSort };
 
 // Result of contracting a decomposed graph.
 struct contraction {
@@ -61,8 +42,8 @@ struct contraction_view {
   std::span<vertex_id> rep;     // size k
   size_t num_vertices = 0;      // k = non-singleton clusters
   size_t edges_before_dedup = 0;
-  // Route actually used for duplicate removal: "hash", "sort", or "off"
-  // when dedup was disabled (static string, never owned).
+  // "sort" when duplicates were removed, "off" when dedup was disabled or
+  // no edge was kept (static string, never owned).
   const char* dedup_route = "off";
   // Parallel to `edges`: the original-graph edge realizing each contracted
   // edge, packed (u << 32) | v. Only filled by the witness-carrying
@@ -71,7 +52,7 @@ struct contraction_view {
 };
 
 // A gathered inter-cluster edge with its witness, the unit the
-// witness-preserving dedup routes operate on. `pair` packs the contracted
+// witness-preserving sort-dedup operates on. `pair` packs the contracted
 // (src << 32) | tgt endpoints; `witness` packs an original-graph edge.
 struct witness_pair {
   uint64_t pair;
@@ -82,7 +63,7 @@ struct witness_pair {
 // decomposition labeling). The lift state (new_id, rep) goes into
 // `persist_ws`, the contracted CSR into `graph_ws` (the engine ping-pongs
 // two of these across levels), and every temporary — gather offsets, flag
-// arrays, the packed pair array, the dedup hash table — into `scratch_ws`,
+// arrays, the packed pair array and its sort buffers — into `scratch_ws`,
 // rewound before returning. Requires the post-decomposition invariant: for
 // each v, the first wg.degrees[v] adjacency entries are its inter-cluster
 // edges with targets relabeled to cluster ids. The kept edges must also be
@@ -98,33 +79,30 @@ contraction_view contract_into(const ldd::work_graph& wg,
                                parallel::workspace& persist_ws,
                                parallel::workspace& graph_ws,
                                parallel::workspace& scratch_ws,
-                               dedup_strategy strategy = dedup_strategy::kAuto);
+                               dedup_strategy strategy = dedup_strategy::kSort);
 
 // Witness-carrying overload (the spanning-forest engine's contraction):
 // `witness` parallels wg.edges — witness[e] is the original-graph edge that
 // realizes edge slot e — and the result's edge_witness parallels the
 // contracted CSR. When dedup removes copies of a contracted (src, tgt)
 // pair, the surviving witness is the one at the MINIMUM deterministic
-// gather rank (the flattened CSR position of the realizing edge), on both
-// dedup routes: the sort route's stable radix sort keeps gather order
-// within equal pairs, and the hash route folds gather ranks with an atomic
-// write_min and joins the winner back after the barrier. The route choice
-// itself is a pure function of (m, k), so the contracted CSR AND its
-// witness array are identical across worker counts and schedules.
+// gather rank (the flattened CSR position of the realizing edge): the
+// stable radix sort keeps gather order within equal pairs, so the first of
+// each run is that witness. The contracted CSR and its witness array are
+// identical across worker counts and schedules.
 contraction_view contract_into(const ldd::work_graph& wg,
                                std::span<const uint64_t> witness,
                                std::span<const vertex_id> cluster, bool dedup,
                                parallel::workspace& persist_ws,
                                parallel::workspace& graph_ws,
                                parallel::workspace& scratch_ws,
-                               dedup_strategy strategy = dedup_strategy::kAuto);
+                               dedup_strategy strategy = dedup_strategy::kSort);
 
 // Vector-returning convenience wrapper over contract_into (tests, examples,
 // one-shot callers). When `dedup` is set, duplicate edges between cluster
-// pairs are removed via `strategy` (the paper notes the algorithm stays
-// correct without dedup; it is an ablation knob here).
+// pairs are removed (the paper notes the algorithm stays correct without
+// dedup; it is an ablation knob here).
 contraction contract(const ldd::work_graph& wg, const ldd::result& dec,
-                     bool dedup = true,
-                     dedup_strategy strategy = dedup_strategy::kAuto);
+                     bool dedup = true);
 
 }  // namespace pcc::cc

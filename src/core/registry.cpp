@@ -36,7 +36,6 @@ cc_options engine_options(const cc_options& opt) {
   o.beta = opt.beta;
   o.shifts = opt.shifts;
   o.dedup = opt.dedup;
-  o.dedup_route = opt.dedup_route;
   o.seed = opt.seed;
   o.dense_threshold = opt.dense_threshold;
   o.parallel_edge_threshold = opt.parallel_edge_threshold;

@@ -16,8 +16,8 @@
 // cc_engine::run_forest (core/cc_engine.hpp: labels + forest in one pass,
 // on the same reusable arenas as the labels-only run) or the registry's
 // "spanning-forest" entry. Options are plain cc_options, so beta, seed,
-// shifts, dense_threshold and dedup_route mean the same thing they mean
-// for connectivity; opt.variant is ignored (the SF decomposition is always
+// shifts, dense_threshold and dedup mean the same thing they mean for
+// connectivity; opt.variant is ignored (the SF decomposition is always
 // the claim-based one).
 #pragma once
 

@@ -1,16 +1,13 @@
 // Phase-concurrent open-addressing hash map (64-bit keys -> 64-bit
 // values), first-writer-wins.
 //
-// Companion to hash_set64: the spanning-forest pipeline deduplicates
-// inter-cluster edges while keeping one *witness* (an original graph edge)
-// per surviving contracted edge, which needs a map rather than a set.
-// Inserts are safe concurrently with inserts; reads/extraction require a
-// phase boundary (the parallel-for join) after the last insert.
+// The graph loaders use it to compact raw vertex ids, and the forest index
+// to map edges to forest slots. Inserts are safe concurrently with inserts;
+// reads/extraction require a phase boundary (the parallel-for join) after
+// the last insert.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -126,86 +123,6 @@ class hash_map64 {
  private:
   std::vector<uint64_t> keys_;
   std::vector<uint64_t> values_;
-  size_t mask_ = 0;
-};
-
-// Non-owning twin of hash_map64 over caller-provided storage, for
-// allocation-free hot paths (companion to hash_set64_view): the caller
-// takes `slots_needed(max_elements)` words from its arena TWICE (keys,
-// values) and hands both over. Only the subset of the hash_map64 API the
-// witness-preserving contraction dedup needs: insert_min during the
-// phase-concurrent pass, find after the join barrier. insert_min's
-// write_min makes the stored value deterministic regardless of arrival
-// order — the property the spanning-forest witness selection relies on.
-class hash_map64_view {
- public:
-  static constexpr uint64_t kEmptyKey = hash_map64::kEmptyKey;
-
-  // Slot count for up to `max_elements` inserts at load factor <= 1/2.
-  static size_t slots_needed(size_t max_elements) {
-    size_t cap = 16;
-    while (cap < 2 * max_elements + 1) cap <<= 1;
-    return cap;
-  }
-
-  // `keys` and `values` must be power-of-two spans of equal size (as
-  // returned by slots_needed). Every key slot is reset to kEmptyKey and
-  // every value slot to `initial_value` (the fold identity for
-  // insert_min — pass a value no smaller than any that will be offered).
-  hash_map64_view(std::span<uint64_t> keys, std::span<uint64_t> values,
-                  uint64_t initial_value = ~uint64_t{0})
-      : keys_(keys), values_(values) {
-    assert(keys.size() == values.size());
-    mask_ = keys.size() - 1;
-    parallel_for(0, keys_.size(), [&](size_t i) {
-      keys_[i] = kEmptyKey;  // lint: private-write(owner index i)
-      values_[i] = initial_value;  // lint: private-write(owner index i)
-    });
-  }
-
-  // Insert (key, value) keeping the MINIMUM value ever offered for the
-  // key. Phase-concurrent with itself; returns true iff this call claimed
-  // a fresh slot (first-writer-wins, so the return value is NOT
-  // deterministic — only the stored minimum is).
-  bool insert_min(uint64_t key, uint64_t value) {
-    size_t i = static_cast<size_t>(hash64(key)) & mask_;
-    while (true) {
-      const uint64_t cur = atomic_load(&keys_[i]);
-      if (cur == key) {
-        write_min(&values_[i], value);
-        return false;
-      }
-      if (cur == kEmptyKey) {
-        // Publish the key first; the pre-seeded value slot makes the
-        // claim/fold order race-free (a concurrent same-key writer folds
-        // into initial_value, never into garbage).
-        if (cas(&keys_[i], kEmptyKey, key)) {
-          write_min(&values_[i], value);
-          return true;
-        }
-        continue;  // lost the claim: re-inspect this slot
-      }
-      i = (i + 1) & mask_;
-    }
-  }
-
-  // Lookup after the insert phase; returns false if absent.
-  bool find(uint64_t key, uint64_t* value) const {
-    size_t i = static_cast<size_t>(hash64(key)) & mask_;
-    while (true) {
-      const uint64_t cur = keys_[i];
-      if (cur == key) {
-        if (value != nullptr) *value = values_[i];
-        return true;
-      }
-      if (cur == kEmptyKey) return false;
-      i = (i + 1) & mask_;
-    }
-  }
-
- private:
-  std::span<uint64_t> keys_;
-  std::span<uint64_t> values_;
   size_t mask_ = 0;
 };
 

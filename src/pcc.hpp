@@ -31,7 +31,6 @@
 #include "parallel/arena.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/hash_map.hpp"
-#include "parallel/hash_table.hpp"
 #include "parallel/histogram.hpp"
 #include "parallel/integer_sort.hpp"
 #include "parallel/random.hpp"

@@ -354,7 +354,10 @@ TEST(CcEngine, OptionsAreHonored) {
         EXPECT_EQ(copy, connected_components(g, opt)) << what;
         ASSERT_FALSE(stats.levels.empty()) << what;
         if (!dedup) {
-          EXPECT_STREQ(stats.levels[0].dedup_route, "off") << what;
+          // Without dedup every kept edge is passed to the next level.
+          for (const auto& ls : stats.levels) {
+            EXPECT_EQ(ls.edges_after_dedup, ls.edges_kept) << what;
+          }
         }
       }
     }
@@ -437,10 +440,8 @@ TEST(CcEngine, OutputsMatchPinnedDigests) {
   // Both engine modes are deterministic at fixed options: run_forest at any
   // worker count, run() at one worker. Their answers on a small corpus are
   // pinned as digests, so a refactor of the decomposition or contraction
-  // that changes any label, forest edge or forest order fails here. Every
-  // dedup route must give the one pinned forest (they promise the same
-  // witness), and a low dense threshold pins the witness-carrying pull
-  // rounds. Decomp-Arb's column pins its per-level shape as well as its
+  // that changes any label, forest edge or forest order fails here. A low
+  // dense threshold pins the witness-carrying pull rounds. Decomp-Arb's column pins its per-level shape as well as its
   // labels.
   const struct {
     const char* name;
@@ -473,13 +474,7 @@ TEST(CcEngine, OutputsMatchPinnedDigests) {
   arb_opt.variant = decomp_variant::kArb;
   for (const auto& c : cases) {
     cc::cc_engine engine;
-    for (auto route : {cc::dedup_strategy::kAuto, cc::dedup_strategy::kHash,
-                       cc::dedup_strategy::kSort}) {
-      cc_options route_opt = opt;
-      route_opt.dedup_route = route;
-      EXPECT_EQ(digest(engine.run_forest(c.g, route_opt)), c.forest)
-          << c.name << " route " << cc::dedup_strategy_name(route);
-    }
+    EXPECT_EQ(digest(engine.run_forest(c.g, opt)), c.forest) << c.name;
     EXPECT_EQ(digest(engine.run_forest(c.g, dense_opt)), c.forest_dense)
         << c.name;
     parallel::scoped_workers one(1);

@@ -149,11 +149,12 @@ TEST(Contract, PreservesComponentCount) {
   EXPECT_EQ(original, contracted_components + c.con.num_singleton_clusters);
 }
 
-TEST(Contract, SortAndHashDedupProduceIdenticalCsr) {
-  // Both dedup routes compact to the same deduplicated, sorted pair set, so
-  // the contracted CSR must be byte-identical — not just isomorphic. Run
-  // the adversarial corpus: dense contractions (many duplicates), hub
-  // graphs, multigraph-like rMat, and tiny edge cases.
+TEST(Contract, DedupMatchesSerialPairSetOracle) {
+  // The contracted CSR must be exactly the sorted set of distinct
+  // (new src, new tgt) pairs of the kept edges, row by row. The oracle is a
+  // serial std::set over the same gather. Run the adversarial corpus: dense
+  // contractions (many duplicates), hub graphs, multigraph-like rMat, and
+  // tiny edge cases.
   const struct {
     const char* name;
     graph::graph g;
@@ -166,70 +167,51 @@ TEST(Contract, SortAndHashDedupProduceIdenticalCsr) {
   };
   for (const auto& tc : cases) {
     for (const double beta : {0.1, 0.4}) {
-      // decomp_arb's clustering rides on benign races, so decompose once
-      // and contract that same clustering along every route.
       work_graph wg = work_graph::from(tc.g);
       ldd::options opt;
       opt.beta = beta;
       opt.seed = 3;
       const ldd::result dec = ldd::decomp_arb(wg, opt, nullptr);
-      const auto hash = contract(wg, dec, true, cc::dedup_strategy::kHash);
-      const auto sort = contract(wg, dec, true, cc::dedup_strategy::kSort);
-      ASSERT_EQ(hash.contracted.offsets(), sort.contracted.offsets())
+      const contraction con = contract(wg, dec, true);
+      std::set<std::pair<vertex_id, vertex_id>> oracle;
+      size_t kept = 0;
+      for (size_t v = 0; v < wg.n; ++v) {
+        const vertex_id src = con.new_id[dec.cluster[v]];
+        for (vertex_id i = 0; i < wg.degrees[v]; ++i) {
+          oracle.insert({src, con.new_id[wg.edges[wg.offsets[v] + i]]});
+          ++kept;
+        }
+      }
+      EXPECT_EQ(con.edges_before_dedup, kept) << tc.name << " beta=" << beta;
+      const size_t k = con.contracted.num_vertices();
+      std::vector<edge_id> offsets(k + 1, 0);
+      std::vector<vertex_id> edges;
+      for (const auto& [src, tgt] : oracle) {
+        ASSERT_LT(src, k) << tc.name << " beta=" << beta;
+        ++offsets[src + 1];
+        edges.push_back(tgt);
+      }
+      for (size_t x = 0; x < k; ++x) offsets[x + 1] += offsets[x];
+      ASSERT_EQ(con.contracted.offsets(), offsets)
           << tc.name << " beta=" << beta;
-      ASSERT_EQ(hash.contracted.edges(), sort.contracted.edges())
-          << tc.name << " beta=" << beta;
-      EXPECT_EQ(hash.new_id, sort.new_id) << tc.name;
-      EXPECT_EQ(hash.rep, sort.rep) << tc.name;
-      // kAuto must resolve to one of the two fixed routes, hence also match.
-      const auto aut = contract(wg, dec, true, cc::dedup_strategy::kAuto);
-      EXPECT_EQ(aut.contracted.offsets(), sort.contracted.offsets())
-          << tc.name << " beta=" << beta;
-      EXPECT_EQ(aut.contracted.edges(), sort.contracted.edges())
-          << tc.name << " beta=" << beta;
+      ASSERT_EQ(con.contracted.edges(), edges) << tc.name << " beta=" << beta;
     }
   }
 }
 
-TEST(Contract, ChooseDedupRouteCostModel) {
-  using cc::choose_dedup_route;
-  using cc::dedup_strategy;
-  // Empty level: route is irrelevant, sort is the cheap no-op.
-  EXPECT_EQ(choose_dedup_route(0, 0), dedup_strategy::kSort);
-  // Narrow keys (k small => few radix passes): sort wins regardless of m.
-  EXPECT_EQ(choose_dedup_route(1 << 20, 1 << 10), dedup_strategy::kSort);
-  EXPECT_EQ(choose_dedup_route(100, 50), dedup_strategy::kSort);
-  // k up to 2^16 is still a 4-pass sort over the packed 2b-bit key.
-  EXPECT_EQ(choose_dedup_route(size_t{1} << 24, size_t{1} << 16),
-            dedup_strategy::kSort);
-  // Wide key AND heavy duplication: the hash route's post-dedup sort is
-  // much smaller, so hashing pays off.
-  EXPECT_EQ(choose_dedup_route(size_t{1} << 28, size_t{1} << 20),
-            dedup_strategy::kHash);
-  // Wide key but light duplication (m/k < 8): dedup barely shrinks the
-  // array, stay on the streaming sort.
-  EXPECT_EQ(choose_dedup_route((size_t{1} << 20) * 4, size_t{1} << 20),
-            dedup_strategy::kSort);
-  // Saturated pair space (m >= 16 * k^2/2): duplication is heavy enough
-  // that the hash table's hot set stays cached — the measured crossover
-  // on the micro pair. k=128 at m=2^18 is the dup=16 micro point.
-  EXPECT_EQ(choose_dedup_route(size_t{1} << 18, 128), dedup_strategy::kHash);
-  EXPECT_EQ(choose_dedup_route(size_t{1} << 18, 256), dedup_strategy::kSort);
-}
-
 TEST(Contract, DedupRouteReportedInView) {
-  // contract_into records the route it actually took; pinned strategies
-  // must be honored verbatim and "off" reported when dedup is disabled or
-  // nothing is left to dedup. A long path keeps inter-cluster edges under
-  // either shift schedule: every vertex starts within O(log n / beta)
-  // rounds, so no BFS reaches more than a few hundred of its vertices.
+  // contract_into reports "sort" when it removed duplicates and "off" when
+  // dedup is disabled or nothing is left to dedup. A long path keeps
+  // inter-cluster edges under either shift schedule: every vertex starts
+  // within O(log n / beta) rounds, so no BFS reaches more than a few
+  // hundred of its vertices.
   parallel::workspace persist_ws, graph_ws, scratch_ws;
   const auto route = [&](const work_graph& wg, const ldd::result& dec,
-                         bool dedup, cc::dedup_strategy s) {
+                         bool dedup) {
     persist_ws.reset();
     graph_ws.reset();
     const auto cv = cc::contract_into(wg, dec.cluster, dedup, persist_ws,
-                                      graph_ws, scratch_ws, s);
+                                      graph_ws, scratch_ws);
     return std::string(cv.dedup_route);
   };
   ldd::options opt;
@@ -239,17 +221,14 @@ TEST(Contract, DedupRouteReportedInView) {
   work_graph wg = work_graph::from(g);
   const auto dec = ldd::decomp_arb(wg, opt, nullptr);
   ASSERT_GT(dec.edges_kept, 0u);
-  EXPECT_EQ(route(wg, dec, true, cc::dedup_strategy::kHash), "hash");
-  EXPECT_EQ(route(wg, dec, true, cc::dedup_strategy::kSort), "sort");
-  EXPECT_EQ(route(wg, dec, false, cc::dedup_strategy::kAuto), "off");
-  const std::string autod = route(wg, dec, true, cc::dedup_strategy::kAuto);
-  EXPECT_TRUE(autod == "hash" || autod == "sort") << autod;
+  EXPECT_EQ(route(wg, dec, true), "sort");
+  EXPECT_EQ(route(wg, dec, false), "off");
 
   const graph::graph edgeless = graph::empty_graph(64);
   work_graph ewg = work_graph::from(edgeless);
   const auto edec = ldd::decomp_arb(ewg, opt, nullptr);
   ASSERT_EQ(edec.edges_kept, 0u);
-  EXPECT_EQ(route(ewg, edec, true, cc::dedup_strategy::kHash), "off");
+  EXPECT_EQ(route(ewg, edec, true), "off");
 }
 
 TEST(Contract, WorksAfterEachDecompositionVariant) {
@@ -308,10 +287,9 @@ TEST(Contract, NewIdAndRepMatchSerialReferenceAcrossBlocks) {
 }
 
 TEST(Contract, WitnessOverloadMatchesLabelsAndKeepsMinRankWitness) {
-  // The witness overload must build the labels-only overload's CSR, and on
-  // both dedup routes keep, per contracted pair, the witness of the kept
-  // edge at the minimum gather rank (flattened CSR position) — so kHash
-  // and kSort give the same edge_witness. Each slot's witness here is the
+  // The witness overload must build the labels-only overload's CSR and
+  // keep, per contracted pair, the witness of the kept edge at the minimum
+  // gather rank (flattened CSR position). Each slot's witness here is the
   // slot index itself, so the expected survivor is easy to compute.
   for (const graph::graph& g :
        {graph::grid3d_graph(4096, true, 5), graph::grid2d_graph(100, 50)}) {
@@ -330,15 +308,14 @@ TEST(Contract, WitnessOverloadMatchesLabelsAndKeepsMinRankWitness) {
       std::vector<vertex_id> new_id;
       std::string route;
     };
-    const auto run = [&](bool with_witness, bool dedup,
-                         cc::dedup_strategy s) {
+    const auto run = [&](bool with_witness, bool dedup) {
       parallel::workspace persist_ws, graph_ws, scratch_ws;
       const cc::contraction_view cv =
           with_witness
               ? cc::contract_into(wg, witness, dec.cluster, dedup, persist_ws,
-                                  graph_ws, scratch_ws, s)
+                                  graph_ws, scratch_ws)
               : cc::contract_into(wg, dec.cluster, dedup, persist_ws,
-                                  graph_ws, scratch_ws, s);
+                                  graph_ws, scratch_ws);
       return answer{{cv.offsets.begin(), cv.offsets.end()},
                     {cv.edges.begin(), cv.edges.end()},
                     {cv.edge_witness.begin(), cv.edge_witness.end()},
@@ -347,46 +324,37 @@ TEST(Contract, WitnessOverloadMatchesLabelsAndKeepsMinRankWitness) {
     };
 
     for (bool dedup : {false, true}) {
-      for (auto s : {cc::dedup_strategy::kHash, cc::dedup_strategy::kSort}) {
-        const answer labels = run(false, dedup, s);
-        const answer wit = run(true, dedup, s);
-        const std::string what = std::string("dedup=") +
-                                 (dedup ? "on" : "off") + " route=" +
-                                 cc::dedup_strategy_name(s);
-        EXPECT_EQ(wit.offsets, labels.offsets) << what;
-        EXPECT_EQ(wit.edges, labels.edges) << what;
-        EXPECT_EQ(wit.route, labels.route) << what;
-        EXPECT_TRUE(labels.edge_witness.empty()) << what;
-        ASSERT_EQ(wit.edge_witness.size(), wit.edges.size()) << what;
-        if (!dedup) continue;
-        // Minimum gather rank per contracted pair: the first kept slot in
-        // flattened CSR order.
-        std::map<std::pair<vertex_id, vertex_id>, uint64_t> first_slot;
-        for (size_t v = 0; v < wg.n; ++v) {
-          const vertex_id src = wit.new_id[dec.cluster[v]];
-          for (vertex_id i = 0; i < wg.degrees[v]; ++i) {
-            const edge_id slot = wg.offsets[v] + i;
-            first_slot.insert({{src, wit.new_id[wg.edges[slot]]}, slot});
-          }
+      const answer labels = run(false, dedup);
+      const answer wit = run(true, dedup);
+      const std::string what = std::string("dedup=") + (dedup ? "on" : "off");
+      EXPECT_EQ(wit.offsets, labels.offsets) << what;
+      EXPECT_EQ(wit.edges, labels.edges) << what;
+      EXPECT_EQ(wit.route, labels.route) << what;
+      EXPECT_EQ(wit.route, dedup ? "sort" : "off") << what;
+      EXPECT_TRUE(labels.edge_witness.empty()) << what;
+      ASSERT_EQ(wit.edge_witness.size(), wit.edges.size()) << what;
+      if (!dedup) continue;
+      // Minimum gather rank per contracted pair: the first kept slot in
+      // flattened CSR order.
+      std::map<std::pair<vertex_id, vertex_id>, uint64_t> first_slot;
+      for (size_t v = 0; v < wg.n; ++v) {
+        const vertex_id src = wit.new_id[dec.cluster[v]];
+        for (vertex_id i = 0; i < wg.degrees[v]; ++i) {
+          const edge_id slot = wg.offsets[v] + i;
+          first_slot.insert({{src, wit.new_id[wg.edges[slot]]}, slot});
         }
-        ASSERT_EQ(first_slot.size(), wit.edges.size()) << what;
-        ASSERT_LT(wit.edges.size(), dec.edges_kept) << what << ": no dups";
-        for (size_t x = 0; x + 1 < wit.offsets.size(); ++x) {
-          for (edge_id j = wit.offsets[x]; j < wit.offsets[x + 1]; ++j) {
-            const auto it = first_slot.find(
-                {static_cast<vertex_id>(x), wit.edges[j]});
-            ASSERT_NE(it, first_slot.end()) << what;
-            EXPECT_EQ(wit.edge_witness[j], it->second)
-                << what << " slot " << j;
-          }
+      }
+      ASSERT_EQ(first_slot.size(), wit.edges.size()) << what;
+      ASSERT_LT(wit.edges.size(), dec.edges_kept) << what << ": no dups";
+      for (size_t x = 0; x + 1 < wit.offsets.size(); ++x) {
+        for (edge_id j = wit.offsets[x]; j < wit.offsets[x + 1]; ++j) {
+          const auto it =
+              first_slot.find({static_cast<vertex_id>(x), wit.edges[j]});
+          ASSERT_NE(it, first_slot.end()) << what;
+          EXPECT_EQ(wit.edge_witness[j], it->second) << what << " slot " << j;
         }
       }
     }
-    const answer hash = run(true, true, cc::dedup_strategy::kHash);
-    const answer sort = run(true, true, cc::dedup_strategy::kSort);
-    EXPECT_EQ(hash.route, "hash");
-    EXPECT_EQ(sort.route, "sort");
-    EXPECT_EQ(hash.edge_witness, sort.edge_witness);
   }
 }
 

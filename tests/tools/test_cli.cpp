@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -120,6 +121,42 @@ TEST_F(CliTest, StatsPrintPhasesOfTheLastRun) {
   const double wall = std::stod(line.substr(line.find(" wall=") + 6));
   EXPECT_GT(sum, 0.0);
   EXPECT_LE(sum, wall * 1.01 + 0.01);
+}
+
+TEST_F(CliTest, StatsPrintKeptEdgesAndWorkRatio) {
+  ASSERT_EQ(run(tool("pcc_gen") + " --type line --n 5000 " + path("g.adj")), 0);
+  const std::string out =
+      output_of(tool("pcc_components") + " " + path("g.adj") +
+                " --algo decomp-arb-hybrid --beta 0.1 --stats");
+  const size_t levels = out.find("\nlevels:\n");
+  const size_t work = out.find("\nwork: ratio=");
+  const size_t phases = out.find("\nphases:");
+  ASSERT_NE(levels, std::string::npos) << out;
+  ASSERT_NE(work, std::string::npos) << out;
+  ASSERT_NE(phases, std::string::npos) << out;
+  EXPECT_LT(levels, work);
+  EXPECT_LT(work, phases);
+  // Level 0 of a 5000-vertex path: m = 9998 directed edges, and its kept
+  // and deduped counts are printed next to kept/m and 2*beta.
+  const size_t l0 = levels + 9;
+  const std::string line0 = out.substr(l0, out.find('\n', l0) - l0);
+  for (const char* field : {"0: n=5000 m=9998 ", " kept=", " deduped=",
+                            " kept/m=", " 2beta=0.200"}) {
+    EXPECT_NE(line0.find(field), std::string::npos) << field << " in " << line0;
+  }
+  const auto field = [](const std::string& line, const char* name) {
+    return std::stod(line.substr(line.find(name) + std::strlen(name)));
+  };
+  const double kept = field(line0, " kept=");
+  EXPECT_GT(kept, 0.0);
+  EXPECT_LE(field(line0, " deduped="), kept);
+  EXPECT_NEAR(field(line0, " kept/m="), kept / 9998, 1e-3);
+  // The work ratio counts level 0 itself, so it is at least 1; its bound
+  // 1/(1-2beta) is printed beside it.
+  const std::string wline =
+      out.substr(work + 1, out.find('\n', work + 1) - work - 1);
+  EXPECT_GE(field(wline, "ratio="), 1.0) << wline;
+  EXPECT_NE(wline.find("1/(1-2beta)=1.250"), std::string::npos) << wline;
 }
 
 TEST_F(CliTest, ComponentsAllAlgorithmsAgreeViaVerify) {

@@ -40,9 +40,11 @@ constexpr const char kUsage[] =
     "               repeat on the relabeled CSR, and maps the labels back —\n"
     "               the relabel cost is reported separately, amortized over\n"
     "               --repeat. Output labels are always original vertex ids.\n"
-    "  --stats      print the I/O phases, the per-level sizes and where the\n"
-    "               last run's time went: a `phases:` line with each phase,\n"
-    "               their sum and that run's wall time, in ms.\n"
+    "  --stats      print the I/O phases, the per-level sizes (kept and\n"
+    "               deduplicated edges, kept/m next to 2*beta), the work\n"
+    "               ratio sum(m_i)/m_0, and where the last run's time went:\n"
+    "               a `phases:` line with each phase, their sum and that\n"
+    "               run's wall time, in ms.\n"
     "  --verbose    print the probed graph statistics and which algorithm\n"
     "               `auto` selected.\n";
 
@@ -184,11 +186,31 @@ int run(int argc, char** argv) {
   }
 
   if (args.has("stats") && !stats.levels.empty()) {
+    // Per level, the directed edges the decomposition kept and those left
+    // after dedup, and the kept fraction next to Theorem 2's 2*beta bound
+    // on its expectation. The closing work ratio sum(m_i) / m_0 is at most
+    // 1 / (1 - 2*beta) in expectation, the paper's linear-work argument.
     std::printf("levels:\n");
+    size_t total_m = 0;
     for (size_t i = 0; i < stats.levels.size(); ++i) {
       const auto& ls = stats.levels[i];
-      std::printf("  %zu: n=%zu m=%zu clusters=%zu rounds=%zu\n", i, ls.n,
-                  ls.m, ls.num_clusters, ls.bfs_rounds);
+      total_m += ls.m;
+      const double kept_frac =
+          ls.m > 0 ? static_cast<double>(ls.edges_kept) /
+                         static_cast<double>(ls.m)
+                   : 0.0;
+      std::printf(
+          "  %zu: n=%zu m=%zu clusters=%zu rounds=%zu kept=%zu deduped=%zu "
+          "kept/m=%.3f 2beta=%.3f\n",
+          i, ls.n, ls.m, ls.num_clusters, ls.bfs_rounds, ls.edges_kept,
+          ls.edges_after_dedup, kept_frac, 2 * beta);
+    }
+    const size_t m0 = stats.levels[0].m;
+    if (m0 > 0) {
+      std::printf("work: ratio=%.3f (sum m_i / m_0",
+                  static_cast<double>(total_m) / static_cast<double>(m0));
+      if (beta < 0.5) std::printf("; 1/(1-2beta)=%.3f", 1.0 / (1.0 - 2 * beta));
+      std::printf(")\n");
     }
   }
   if (args.has("stats")) {

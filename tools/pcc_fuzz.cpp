@@ -65,13 +65,9 @@ cc::cc_options options_for(std::string_view name, uint64_t s) {
     o.dense_threshold = 0.05 + (s % 5) * 0.1;
   } else if (name == "spanning-forest") {
     // Threshold 0 makes every round dense (witnesses captured by pulls);
-    // the dedup routes each pick survivors their own way.
+    // with dedup off, duplicate contracted pairs carry their own witnesses.
     o.dense_threshold = (s % 5) * 0.1;
     o.dedup = (s >> 3) % 4 != 0;
-    const cc::dedup_strategy routes[] = {cc::dedup_strategy::kAuto,
-                                         cc::dedup_strategy::kHash,
-                                         cc::dedup_strategy::kSort};
-    o.dedup_route = routes[(s >> 5) % 3];
     o.shifts = (s >> 7) % 2 != 0 ? ldd::shift_mode::kExponentialShifts
                                  : ldd::shift_mode::kPermutationChunks;
   }
