@@ -73,14 +73,15 @@ ldd::decomp_info run_decomposition(ldd::work_graph& wg, decomp_variant variant,
                                    const ldd::options& dopt,
                                    std::span<vertex_id> cluster,
                                    parallel::workspace& ws,
-                                   parallel::phase_timer* pt) {
+                                   parallel::phase_timer* pt,
+                                   ldd::held_schedule* held) {
   switch (variant) {
     case decomp_variant::kMin:
-      return ldd::decomp_min_into(wg, dopt, cluster, ws, pt);
+      return ldd::decomp_min_into(wg, dopt, cluster, ws, pt, held);
     case decomp_variant::kArb:
-      return ldd::decomp_arb_into(wg, dopt, cluster, ws, pt);
+      return ldd::decomp_arb_into(wg, dopt, cluster, ws, pt, held);
     case decomp_variant::kArbHybrid:
-      return ldd::decomp_arb_hybrid_into(wg, dopt, cluster, ws, pt);
+      return ldd::decomp_arb_hybrid_into(wg, dopt, cluster, ws, pt, held);
   }
   return {};  // unreachable
 }
@@ -98,17 +99,19 @@ void cc_engine::reserve(size_t n, size_t m) {
   // levels' graphs and the transients grow only with the kept-edge
   // fraction, so graph_[1] and scratch_ keep the labels-only heuristics.
   // `pad` covers each take's cache-line alignment. The arenas self-size to
-  // the true high-water mark after the first run either way.
+  // the true high-water mark after the first run either way. Level 0's
+  // shift-schedule order (4n bytes) lives in schedule_, not scratch_.
   const size_t pad = 4 * kCacheLineBytes;
   persist_.reserve(sizeof(vertex_id) * 4 * n + sizeof(uint64_t) * n + pad);
   graph_[0].reserve(sizeof(vertex_id) * (m + n) + sizeof(uint64_t) * m + pad);
   graph_[1].reserve(sizeof(vertex_id) * (m + n) + pad);
-  scratch_.reserve(sizeof(vertex_id) * 16 * n + 8 * m);
+  scratch_.reserve(sizeof(vertex_id) * 15 * n + 8 * m);
   // Level count varies run to run (the decomposition's benign races make
   // clustering schedule-dependent), so sizing frames_ off the first run's
   // depth would let a deeper rerun reallocate; reserve the cap instead.
   frames_.reserve(cc_options{}.max_levels);
   forest_storage_.reserve(n);
+  schedule_.reserve(n);
 }
 
 std::span<const vertex_id> cc_engine::run(const graph::graph& g,
@@ -209,11 +212,18 @@ cc_engine::forest_result cc_engine::run_levels(const graph::graph& g,
       parallel::workspace::scope s(scratch_);
       const ldd::options dopt = level_options(opt, level);
       parallel::phase_timer* pt = stats != nullptr ? &stats->phases : nullptr;
+      // Level 0's schedule depends only on (n0, options), so it is kept
+      // across runs; the later levels' n depends on the edges.
+      ldd::held_schedule* held = level == 0 ? &schedule_ : nullptr;
+      if (stats != nullptr && level == 0) {
+        stats->schedule_reused = schedule_.holds(cur.n, dopt);
+      }
       dec = kWitness ? ldd::internal::decomp_arb_hybrid_into(
                            cur, cur_witness, /*identity_witness=*/level == 0,
-                           dopt, cluster, forest, forest_count, scratch_, pt)
+                           dopt, cluster, forest, forest_count, scratch_, pt,
+                           held)
                      : run_decomposition(cur, opt.variant, dopt, cluster,
-                                         scratch_, pt);
+                                         scratch_, pt, held);
     }
 
     // G' = CONTRACT(G, L), in forest mode keeping one witness per

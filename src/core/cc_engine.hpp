@@ -15,6 +15,11 @@
 //   graph_[2]  — the level graphs' CSR storage (and edge witnesses),
 //                ping-ponged: contraction at level L writes G_{L+1} into
 //                the arena not holding G_L.
+//   schedule_  — level 0's shift schedule (4n bytes of order plus the
+//                bucket ends), kept across runs: it depends only on
+//                (n, level-0 seed, beta, shift mode), so a run with the
+//                same key reuses it and any other run rebuilds it in
+//                place.
 //
 // run_forest() is the same loop with every edge slot of every level graph
 // carrying a *witness*, the original-graph edge that realizes it; the BFS
@@ -68,9 +73,11 @@ class cc_engine {
   // connected_components).
   // The returned span (size g.num_vertices()) points into the engine's
   // persistent arena. Results are identical to connected_components(g, opt)
-  // with opt.algorithm = "decomp". The arenas are shaped by sizes, not
-  // options, so switching options between runs keeps the allocation-free
-  // property.
+  // with opt.algorithm = "decomp". The arenas are shaped by sizes, and the
+  // held level-0 schedule by (n, seed, beta, shift mode); a run with
+  // another key rebuilds the schedule in place, in storage that settles to
+  // its high-water mark as the arenas do, so switching options between
+  // runs keeps the allocation-free property.
   std::span<const vertex_id> run(const graph::graph& g, const cc_options& opt,
                                  cc_stats* stats = nullptr);
 
@@ -100,6 +107,7 @@ class cc_engine {
   parallel::workspace persist_;
   parallel::workspace scratch_;
   parallel::workspace graph_[2];
+  ldd::held_schedule schedule_;
   std::vector<level_frame> frames_;
   // The unpacked forest; capacity survives runs (determinism makes the
   // size identical run to run, so after warm-up the resize never grows).

@@ -90,6 +90,9 @@ struct cc_stats {
   std::vector<level_stats> levels;
   parallel::phase_timer phases;  // summed across levels (Figures 5-7)
   bool used_fallback = false;    // max_levels safety net triggered
+  // Level 0 reused the shift schedule the engine held from an earlier run
+  // with the same n and options, instead of building it.
+  bool schedule_reused = false;
   // Which registered algorithm actually ran. Points at the registry's
   // static name string (no allocation — repeated engine-workspace runs
   // must stay heap-free), so it outlives every cc_stats.

@@ -58,9 +58,13 @@ namespace {
 
 using parallel::parallel_for;
 
-// The first stages of a contraction: per-vertex gather offsets into the
-// packed pair array, surviving-cluster detection, contracted id assignment
-// (new_id / rep). gather_off is carved from scratch_ws — the
+// Vertices per block in contract_prelude's kept-edge offsets, which
+// gather_kept walks block by block.
+constexpr size_t kBlock = parallel::kDefaultGrain;
+
+// The first stages of a contraction: surviving-cluster detection with the
+// kept-edge offset of each block of vertices, and contracted id assignment
+// (new_id / rep). Returns the block offsets, carved from scratch_ws — the
 // caller's rewind scope must already be open.
 std::span<edge_id> contract_prelude(const ldd::work_graph& wg,
                                     std::span<const vertex_id> cluster,
@@ -69,39 +73,52 @@ std::span<edge_id> contract_prelude(const ldd::work_graph& wg,
                                     parallel::workspace& scratch_ws) {
   const size_t n = wg.n;
   std::span<const vertex_id> D = wg.degrees;
+  const size_t nb = (n + kBlock - 1) / kBlock;
 
   out.new_id = persist_ws.take<vertex_id>(n);
-
-  // Offsets of each vertex's kept edges in the gathered edge array.
-  std::span<edge_id> gather_off = scratch_ws.take<edge_id>(n);
-  const edge_id total_kept = parallel::scan_exclusive_span<edge_id>(
-      n, [&](size_t v) { return static_cast<edge_id>(D[v]); }, gather_off,
-      scratch_ws);
-  out.edges_before_dedup = total_kept;
 
   // A cluster survives (is non-singleton) iff an inter-cluster edge touches
   // it. Kept edges are symmetric (contract_into's precondition), so that is
   // iff one of its members kept an edge. The flag lands on the cluster's id,
   // its center, so survives[c] != 0 exactly for the surviving centers.
   // Concurrent same-value stores go through write_once (relaxed atomics) so
-  // the race is declared to the memory model.
+  // the race is declared to the memory model. The same pass sums each
+  // block's kept edges, and a scan over the blocks turns the sums into the
+  // offsets of each block's edges in the gathered array.
   std::span<uint8_t> survives = scratch_ws.take_zeroed<uint8_t>(n);
-  parallel_for(0, n, [&](size_t v) {
-    if (D[v] > 0) parallel::write_once(&survives[cluster[v]], uint8_t{1});
-  });
+  std::span<edge_id> kept_off = scratch_ws.take<edge_id>(nb);
+  parallel_for(
+      0, nb,
+      [&](size_t b) {
+        const size_t end = std::min(n, (b + 1) * kBlock);
+        edge_id kept = 0;
+        for (size_t v = b * kBlock; v < end; ++v) {
+          if (D[v] > 0) {
+            parallel::write_once(&survives[cluster[v]], uint8_t{1});
+            kept += D[v];
+          }
+        }
+        kept_off[b] = kept;  // lint: private-write(block b owns slot b)
+      },
+      1);
+  edge_id total_kept = 0;
+  for (size_t b = 0; b < nb; ++b) {
+    const edge_id kept = kept_off[b];
+    kept_off[b] = total_kept;
+    total_kept += kept;
+  }
+  out.edges_before_dedup = total_kept;
 
   // Contracted ids [0, k') go to the surviving centers in id order: a
   // blocked count pass, a scan over the block counts, and a blocked write
   // pass that fills new_id and its inverse `rep` together.
-  constexpr size_t grain = parallel::kDefaultGrain;
-  const size_t nb = (n + grain - 1) / grain;
   std::span<size_t> base = scratch_ws.take<size_t>(nb);
   parallel_for(
       0, nb,
       [&](size_t b) {
-        const size_t end = std::min(n, (b + 1) * grain);
+        const size_t end = std::min(n, (b + 1) * kBlock);
         size_t roots = 0;
-        for (size_t c = b * grain; c < end; ++c) roots += survives[c];
+        for (size_t c = b * kBlock; c < end; ++c) roots += survives[c];
         base[b] = roots;
       },
       1);
@@ -116,11 +133,11 @@ std::span<edge_id> contract_prelude(const ldd::work_graph& wg,
   parallel_for(
       0, nb,
       [&](size_t b) {
-        const size_t end = std::min(n, (b + 1) * grain);
+        const size_t end = std::min(n, (b + 1) * kBlock);
         size_t x = base[b];
-        for (size_t c = b * grain; c < end; ++c) {
+        for (size_t c = b * kBlock; c < end; ++c) {
           const bool root = survives[c] != 0;
-          // lint: private-write(block b owns ids [b*grain, end))
+          // lint: private-write(block b owns ids [b*kBlock, end))
           out.new_id[c] = root ? static_cast<vertex_id>(x) : kNoVertex;
           if (root) {
             // lint: private-write(block b owns rep slots [base[b], base[b+1]))
@@ -129,7 +146,7 @@ std::span<edge_id> contract_prelude(const ldd::work_graph& wg,
         }
       },
       1);
-  return gather_off;
+  return kept_off;
 }
 
 uint64_t pair_of(uint64_t p) { return p; }
@@ -139,41 +156,53 @@ uint64_t pair_of(const witness_pair& r) { return r.pair; }
 // new target id) pairs, each with its slot's witness when Rec is
 // witness_pair. Targets were relabeled to cluster ids during the
 // decomposition; sources are relabeled here via the vertex's own cluster.
-// A kept edge into a cluster that kept none of its own has no contracted
-// id: the graph was not symmetric (contract_into's precondition). That is
-// checked here, where the target's id is read anyway, and reported before
-// any contracted id is used, so an asymmetric input fails with an error
-// instead of an out-of-range id in the next level.
+// Each block of vertices (contract_prelude's) writes from its offset with a
+// running cursor, and a vertex that kept no edge is skipped before its
+// cluster's id is read. A kept edge into a cluster that kept none of its
+// own has no contracted id: the graph was not symmetric (contract_into's
+// precondition). That is checked here, where the target's id is read
+// anyway, and reported before any contracted id is used, so an asymmetric
+// input fails with an error instead of an out-of-range id in the next
+// level.
 template <typename Rec>
 std::span<Rec> gather_kept(const ldd::work_graph& wg,
                            std::span<const vertex_id> cluster,
                            std::span<const vertex_id> new_id,
-                           std::span<const edge_id> gather_off,
+                           std::span<const edge_id> kept_off,
                            std::span<const uint64_t> witness, edge_id total,
                            parallel::workspace& ws) {
+  const size_t n = wg.n;
   std::span<Rec> recs = ws.take<Rec>(total);
   uint8_t no_reverse = 0;
-  parallel_for(0, wg.n, [&](size_t v) {
-    const vertex_id src = new_id[cluster[v]];
-    const edge_id start = wg.offsets[v];
-    const edge_id base = gather_off[v];
-    bool orphan = false;
-    for (vertex_id i = 0; i < wg.degrees[v]; ++i) {
-      const vertex_id tgt = new_id[wg.edges[start + i]];
-      orphan |= tgt == kNoVertex;
-      assert(src != kNoVertex && src != tgt);
-      const uint64_t pair = (static_cast<uint64_t>(src) << 32) | tgt;
-      Rec rec;
-      if constexpr (std::is_same_v<Rec, witness_pair>) {
-        rec = {pair, witness[start + i]};
-      } else {
-        rec = pair;
-      }
-      // lint: private-write(v owns the slice [gather_off[v], gather_off[v+1]))
-      recs[base + i] = rec;
-    }
-    if (orphan) parallel::write_once(&no_reverse, uint8_t{1});
-  });
+  parallel_for(
+      0, kept_off.size(),
+      [&](size_t b) {
+        const size_t end = std::min(n, (b + 1) * kBlock);
+        edge_id at = kept_off[b];
+        bool orphan = false;
+        for (size_t v = b * kBlock; v < end; ++v) {
+          const vertex_id deg = wg.degrees[v];
+          if (deg == 0) continue;
+          const vertex_id src = new_id[cluster[v]];
+          const edge_id start = wg.offsets[v];
+          for (vertex_id i = 0; i < deg; ++i) {
+            const vertex_id tgt = new_id[wg.edges[start + i]];
+            orphan |= tgt == kNoVertex;
+            assert(src != kNoVertex && src != tgt);
+            const uint64_t pair = (static_cast<uint64_t>(src) << 32) | tgt;
+            Rec rec;
+            if constexpr (std::is_same_v<Rec, witness_pair>) {
+              rec = {pair, witness[start + i]};
+            } else {
+              rec = pair;
+            }
+            // lint: private-write(block b owns [kept_off[b], kept_off[b+1]))
+            recs[at++] = rec;
+          }
+        }
+        if (orphan) parallel::write_once(&no_reverse, uint8_t{1});
+      },
+      1);
   if (no_reverse != 0) {
     throw std::invalid_argument(
         "connectivity: the graph is not symmetric (an edge's reverse is "
@@ -193,7 +222,7 @@ contraction_view contract_impl(const ldd::work_graph& wg,
                                parallel::workspace& scratch_ws) {
   contraction_view out;
   parallel::workspace::scope s(scratch_ws);
-  std::span<edge_id> gather_off =
+  const std::span<const edge_id> kept_off =
       contract_prelude(wg, cluster, out, persist_ws, scratch_ws);
   const edge_id total_kept = out.edges_before_dedup;
   const size_t k = out.num_vertices;
@@ -212,12 +241,12 @@ contraction_view contract_impl(const ldd::work_graph& wg,
 
   // Sort, then drop adjacent duplicates with a scan-pack. In forest mode
   // the witness rides along the radix passes. The flattened gather
-  // position (base + i) is an edge's deterministic *gather rank*: it
+  // position (the edge's index in the gathered array) is an edge's deterministic *gather rank*: it
   // depends only on the CSR layout and the decomposition labeling, never on
   // scheduling. The sort is stable (LSD), so within a run of equal pairs
   // the gather order survives, and keeping the first of each run selects
   // the minimum-gather-rank witness.
-  std::span<Rec> recs = gather_kept<Rec>(wg, cluster, out.new_id, gather_off,
+  std::span<Rec> recs = gather_kept<Rec>(wg, cluster, out.new_id, kept_off,
                                          witness, total_kept, scratch_ws);
   parallel::integer_sort_span(recs, 2 * b, key, scratch_ws);
   if (dedup && total_kept > 0) {

@@ -97,7 +97,8 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
                         bool identity_witness, const options& opt,
                         std::span<vertex_id> cluster,
                         std::span<uint64_t> forest, size_t& forest_count,
-                        parallel::workspace& ws, parallel::phase_timer* pt) {
+                        parallel::workspace& ws, parallel::phase_timer* pt,
+                        held_schedule* held) {
   const size_t n = wg.n;
   decomp_info res;
   if (n == 0) return res;
@@ -114,7 +115,7 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
 
   timer t;
   parallel::workspace::scope outer(ws);
-  internal::shift_schedule schedule(n, opt, ws);
+  internal::shift_schedule schedule(n, opt, ws, held);
   std::span<vertex_id> frontier = ws.take<vertex_id>(n);
   std::span<vertex_id> next = ws.take<vertex_id>(n);
   size_t frontier_size = 0;
@@ -499,18 +500,19 @@ decomp_info hybrid_into(work_graph& wg, std::span<uint64_t> witness,
 decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
                                    std::span<vertex_id> cluster,
                                    parallel::workspace& ws,
-                                   parallel::phase_timer* pt) {
+                                   parallel::phase_timer* pt,
+                                   held_schedule* held) {
   size_t no_forest = 0;
   return hybrid_into<false>(wg, {}, false, opt, cluster, {}, no_forest, ws,
-                            pt);
+                            pt, held);
 }
 
 decomp_info decomp_arb_into(work_graph& wg, const options& opt,
                             std::span<vertex_id> cluster,
                             parallel::workspace& ws,
-                            parallel::phase_timer* pt) {
+                            parallel::phase_timer* pt, held_schedule* held) {
   return decomp_arb_hybrid_into(wg, without_dense_rounds(opt), cluster, ws,
-                                pt);
+                                pt, held);
 }
 
 namespace internal {
@@ -521,9 +523,10 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, std::span<uint64_t> witness,
                                    std::span<uint64_t> forest,
                                    size_t& forest_count,
                                    parallel::workspace& ws,
-                                   parallel::phase_timer* pt) {
+                                   parallel::phase_timer* pt,
+                                   held_schedule* held) {
   return hybrid_into<true>(wg, witness, identity_witness, opt, cluster, forest,
-                           forest_count, ws, pt);
+                           forest_count, ws, pt, held);
 }
 
 }  // namespace internal

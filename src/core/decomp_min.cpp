@@ -42,7 +42,7 @@ constexpr packed_pair kUnvisited = ~packed_pair{0};  // (inf, inf)
 decomp_info decomp_min_into(work_graph& wg, const options& opt,
                             std::span<vertex_id> cluster,
                             parallel::workspace& ws,
-                            parallel::phase_timer* pt) {
+                            parallel::phase_timer* pt, held_schedule* held) {
   const size_t n = wg.n;
   decomp_info res;
   if (n == 0) return res;
@@ -52,7 +52,7 @@ decomp_info decomp_min_into(work_graph& wg, const options& opt,
 
   timer t;
   parallel::workspace::scope outer(ws);
-  internal::shift_schedule schedule(n, opt, ws);
+  internal::shift_schedule schedule(n, opt, ws, held);
   // delta'_v: the simulated fractional part of v's shift, used only when v
   // becomes a BFS center. Drawn from [1, 2^31) — 0 is the visited mark.
   const parallel::rng frac_gen = parallel::rng(opt.seed).split(11);

@@ -107,6 +107,46 @@ struct work_graph {
   std::vector<vertex_id> degree_store_;
 };
 
+namespace internal {
+class shift_schedule;
+}  // namespace internal
+
+// Storage for a shift schedule that outlives one decomposition. The
+// schedule (internal::shift_schedule) depends only on the level's vertex
+// count, seed, beta and shift mode, never on the edges, so cc_engine keeps
+// level 0's here and its repeated queries skip rebuilding it. A
+// decomposition handed a holder whose key matches reuses the stored order;
+// one with any other key rebuilds it in place, straight into the holder's
+// arena, at the cost of a build without a holder. It holds the order array
+// (4n bytes) and the bucket ends.
+class held_schedule {
+ public:
+  // Pre-size the arena for n vertices, dropping the held schedule: the
+  // order array, and 4 KB of bucket ends (beta = 0.2 needs about 5 ln n of
+  // them, 8 bytes each).
+  void reserve(size_t n) {
+    valid_ = false;
+    ws_.reset();
+    ws_.reserve(sizeof(vertex_id) * n + 4096 + 2 * kCacheLineBytes);
+  }
+  // Whether the held schedule is the one for n vertices under opt.
+  bool holds(size_t n, const options& opt) const {
+    return valid_ && n_ == n && seed_ == opt.seed && beta_ == opt.beta &&
+           shifts_ == opt.shifts;
+  }
+
+ private:
+  friend class internal::shift_schedule;
+  parallel::workspace ws_;
+  std::span<vertex_id> order_;
+  std::span<size_t> bucket_end_;  // empty in the permutation-chunk mode
+  bool valid_ = false;
+  size_t n_ = 0;
+  uint64_t seed_ = 0;
+  double beta_ = 0.0;
+  shift_mode shifts_ = shift_mode::kExponentialShifts;
+};
+
 // Scalar outputs of a decomposition — everything in `result` except the
 // cluster array, which the span-based `_into` variants write into caller
 // storage instead of allocating.
@@ -133,19 +173,24 @@ result decomp_arb_hybrid(work_graph& wg, const options& opt,
 // Workspace-backed cores of the three variants: `cluster` (size wg.n) is
 // caller storage for the labeling and every transient — shift schedule,
 // frontiers, flag arrays — is carved from `ws` and rewound before
-// returning. The vector-returning functions above are thin wrappers.
+// returning. With `held`, the shift schedule lives in (and is reused from)
+// the holder instead. The vector-returning functions above are thin
+// wrappers.
 decomp_info decomp_min_into(work_graph& wg, const options& opt,
                             std::span<vertex_id> cluster,
                             parallel::workspace& ws,
-                            parallel::phase_timer* pt = nullptr);
+                            parallel::phase_timer* pt = nullptr,
+                            held_schedule* held = nullptr);
 decomp_info decomp_arb_into(work_graph& wg, const options& opt,
                             std::span<vertex_id> cluster,
                             parallel::workspace& ws,
-                            parallel::phase_timer* pt = nullptr);
+                            parallel::phase_timer* pt = nullptr,
+                            held_schedule* held = nullptr);
 decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
                                    std::span<vertex_id> cluster,
                                    parallel::workspace& ws,
-                                   parallel::phase_timer* pt = nullptr);
+                                   parallel::phase_timer* pt = nullptr,
+                                   held_schedule* held = nullptr);
 
 // Non-destructive convenience wrappers: copy the graph's edges into a
 // work_graph, run the variant, and return only the clustering.

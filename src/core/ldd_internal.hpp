@@ -13,6 +13,7 @@
 
 #include "core/ldd.hpp"
 #include "parallel/arena.hpp"
+#include "parallel/emit.hpp"
 #include "parallel/random.hpp"
 #include "parallel/scheduler.hpp"
 #include "parallel/sequence.hpp"
@@ -205,16 +206,32 @@ class start_buckets {
 // exponentially); round 0 always starts exactly one BFS.
 class shift_schedule {
  public:
-  // The order array and the bucket ends come from `ws`; they must stay
-  // live for the schedule's lifetime, so the caller's rewind scope has to
-  // enclose the schedule. All other scratch is rewound before returning.
-  shift_schedule(size_t n, const options& opt, parallel::workspace& ws)
+  // Without `held`, the order array and the bucket ends come from `ws`;
+  // they must stay live for the schedule's lifetime, so the caller's rewind
+  // scope has to enclose the schedule. With `held`, they live in the
+  // holder: reused as they are when it holds the schedule for (n, opt),
+  // else rebuilt in place. All other scratch is rewound before returning.
+  shift_schedule(size_t n, const options& opt, parallel::workspace& ws,
+                 held_schedule* held = nullptr)
       : n_(n), beta_(opt.beta) {
-    if (opt.shifts == shift_mode::kPermutationChunks) {
-      order_ = ws.take<vertex_id>(n);
-      parallel::random_permutation_into(n, opt.seed, order_, ws);
+    if (held == nullptr) {
+      build(opt, ws, ws);
+    } else if (held->holds(n, opt)) {
+      order_ = held->order_;
+      bucket_end_ = held->bucket_end_;
     } else {
-      bucket_exponential_shifts(opt, ws);
+      // Invalid until the build completes, so a build that throws leaves
+      // no stale key behind.
+      held->valid_ = false;
+      held->ws_.reset();
+      build(opt, held->ws_, ws);
+      held->order_ = order_;
+      held->bucket_end_ = bucket_end_;
+      held->n_ = n;
+      held->seed_ = opt.seed;
+      held->beta_ = opt.beta;
+      held->shifts_ = opt.shifts;
+      held->valid_ = true;
     }
   }
 
@@ -237,7 +254,20 @@ class shift_schedule {
   vertex_id vertex_at(size_t i) const { return order_[i]; }
 
  private:
-  void bucket_exponential_shifts(const options& opt, parallel::workspace& ws) {
+  // The order array and the bucket ends come from `keep`, the rest of the
+  // scratch from `ws` (the same workspace when nothing holds the schedule).
+  void build(const options& opt, parallel::workspace& keep,
+             parallel::workspace& ws) {
+    if (opt.shifts == shift_mode::kPermutationChunks) {
+      order_ = keep.take<vertex_id>(n_);
+      parallel::random_permutation_into(n_, opt.seed, order_, ws);
+    } else {
+      bucket_exponential_shifts(opt, keep, ws);
+    }
+  }
+
+  void bucket_exponential_shifts(const options& opt, parallel::workspace& keep,
+                                 parallel::workspace& ws) {
     const size_t n = n_;
     const parallel::rng gen = parallel::rng(opt.seed).split(7);
     // delta_max is the shift of the smallest 53-bit draw, computed with
@@ -256,8 +286,8 @@ class shift_schedule {
     // whenever the active one is full, so the tiny bucket table goes first
     // and the order array gets one chunk; the scratch below is rewound and
     // reused by the BFS rounds.
-    bucket_end_ = ws.take<size_t>(buckets + 1);
-    order_ = ws.take<vertex_id>(n);
+    bucket_end_ = keep.take<size_t>(buckets + 1);
+    order_ = keep.take<vertex_id>(n);
 
     parallel::workspace::scope s(ws);
     const start_buckets bucket_at(n, delta_max, opt.beta, ws);
@@ -331,11 +361,12 @@ class shift_schedule {
 // sets visited-state via `make_center(v)` and pushes v onto `frontier`
 // starting at index `frontier_size` (the caller advances its size by the
 // returned count — a vertex joins the frontier at most once over a whole
-// decomposition, so a capacity of n always suffices). Candidates within
-// one batch are distinct (they come from a permutation), so no
-// synchronization is needed against each other; the caller guarantees
-// phase separation from edge processing. Flag/scan scratch comes from `ws`
-// and is rewound before returning.
+// decomposition, so a capacity of n always suffices). One emit_pack over
+// the batch tests, makes and emits each center, so the new centers land in
+// batch order. Candidates within one batch are distinct (they come from a
+// permutation), so no synchronization is needed against each other; the
+// caller guarantees phase separation from edge processing. Staging comes
+// from `ws` and is rewound before returning.
 template <typename IsUnvisited, typename MakeCenter>
 size_t add_new_centers(const shift_schedule& sched, size_t round,
                        std::span<vertex_id> frontier, size_t frontier_size,
@@ -343,27 +374,15 @@ size_t add_new_centers(const shift_schedule& sched, size_t round,
                        MakeCenter&& make_center) {
   const auto [begin, end] = sched.batch(round);
   if (begin >= end) return 0;
-  parallel::workspace::scope s(ws);
-  // Two-pass pack keeps the frontier deterministic: flag, scan, scatter.
-  std::span<uint8_t> flags = ws.take<uint8_t>(end - begin);
-  std::span<size_t> pos = ws.take<size_t>(end - begin);
-  parallel::parallel_for(begin, end, [&](size_t i) {
-    const vertex_id v = sched.vertex_at(i);
-    // lint: private-write(iteration i owns slot i - begin)
-    flags[i - begin] = is_unvisited(v) ? 1 : 0;
-  });
-  const size_t added = parallel::scan_exclusive_span<size_t>(
-      flags.size(), [&](size_t i) { return static_cast<size_t>(flags[i]); },
-      pos, ws);
-  parallel::parallel_for(begin, end, [&](size_t i) {
-    if (flags[i - begin]) {
-      const vertex_id v = sched.vertex_at(i);
-      make_center(v);
-      // lint: private-write(pos is an exclusive scan, injective on flagged i)
-      frontier[frontier_size + pos[i - begin]] = v;
-    }
-  });
-  return added;
+  return parallel::emit_pack<vertex_id>(
+      end - begin, frontier.subspan(frontier_size), ws,
+      [&](size_t i, parallel::emitter<vertex_id>& em) {
+        const vertex_id v = sched.vertex_at(begin + i);
+        if (is_unvisited(v)) {
+          make_center(v);
+          em(v);
+        }
+      });
 }
 
 // A witness is an original-graph edge (u, v), packed as (u << 32) | v.
@@ -390,13 +409,15 @@ inline graph::edge unpack_witness(uint64_t w) {
 // stored witness — the witness of slot (v, j) IS pack(v, raw_target) — so
 // the initial m-slot stamping sweep is skipped and `witness` is written
 // only for slots that survive compaction (exactly what contract reads).
+// `held` keeps the shift schedule across calls, as for the public cores.
 decomp_info decomp_arb_hybrid_into(work_graph& wg, std::span<uint64_t> witness,
                                    bool identity_witness, const options& opt,
                                    std::span<vertex_id> cluster,
                                    std::span<uint64_t> forest,
                                    size_t& forest_count,
                                    parallel::workspace& ws,
-                                   parallel::phase_timer* pt);
+                                   parallel::phase_timer* pt,
+                                   held_schedule* held = nullptr);
 
 // Assemble the vector-returning `result` the public wrappers expose from a
 // span-based core's outputs.

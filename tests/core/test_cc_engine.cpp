@@ -15,10 +15,12 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
 #include <new>
 #include <stdexcept>
 #include <vector>
 
+#include "core/ldd_internal.hpp"
 #include "test_helpers.hpp"
 
 // ---------------------------------------------------------------------------
@@ -299,6 +301,28 @@ TEST(CcEngine, HotPathRunIsAllocationFree) {
       const std::vector<vertex_id> copy(labels.begin(), labels.end());
       EXPECT_TRUE(baselines::is_valid_components_labeling(g, copy))
           << vname << " " << sname;
+
+      // Two seeds at the same n, alternating: each run rebuilds the held
+      // level-0 schedule in place, which must not allocate once both seeds
+      // have warmed it.
+      cc_options other = opt;
+      other.seed = opt.seed + 1;
+      for (int warm = 0; warm < 2; ++warm) {
+        engine.run(g, other);
+        engine.run(g, opt);
+      }
+      bool saw_clean_pair = false;
+      for (int attempt = 0; attempt < 10 && !saw_clean_pair; ++attempt) {
+        g_alloc_count.store(0, std::memory_order_relaxed);
+        g_count_allocs.store(true, std::memory_order_relaxed);
+        engine.run(g, other);
+        labels = engine.run(g, opt);
+        g_count_allocs.store(false, std::memory_order_relaxed);
+        saw_clean_pair = g_alloc_count.load(std::memory_order_relaxed) == 0;
+      }
+      EXPECT_TRUE(saw_clean_pair)
+          << "no allocation-free pair of seeds in 10 attempts; variant "
+          << vname << " shifts " << sname;
     }
   }
 }
@@ -325,6 +349,48 @@ TEST(CcEngine, ReserveFrontLoadsAllocation) {
     engine.run(g, opt);
     g_count_allocs.store(false, std::memory_order_relaxed);
     EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u) << sname;
+
+    // The held level-0 schedule was sized by reserve() too, bucket ends
+    // included: other seeds at the same n rebuild it in place, and the
+    // runs that alternate them stay allocation-free.
+    g_alloc_count.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    for (const uint64_t seed : {7u, 8u, 9u}) {
+      cc_options other = opt;
+      other.seed = seed;
+      engine.run(g, other);
+      engine.run(g, opt);
+    }
+    g_count_allocs.store(false, std::memory_order_relaxed);
+    EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u)
+        << sname << " alternating seeds";
+  }
+
+  // reserve(n) alone sizes a holder for any seed and beta at n: building
+  // into it takes nothing from the system allocator (the scratch
+  // workspace is warmed first, so only the holder is counted).
+  const size_t n = g.num_vertices();
+  for (const auto& [sname, shifts] : all_shifts()) {
+    parallel::workspace ws;
+    ldd::options warm;
+    warm.shifts = shifts;
+    { const ldd::internal::shift_schedule s(n, warm, ws); }
+    ldd::held_schedule held;
+    held.reserve(n);
+    g_alloc_count.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    for (const double beta : {0.05, 0.2, 0.5}) {
+      for (const uint64_t seed : {1u, 2u}) {
+        ldd::options o;
+        o.beta = beta;
+        o.seed = seed;
+        o.shifts = shifts;
+        const ldd::internal::shift_schedule s(n, o, ws, &held);
+      }
+    }
+    g_count_allocs.store(false, std::memory_order_relaxed);
+    EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u)
+        << sname << " held schedule after reserve";
   }
 }
 
@@ -484,6 +550,90 @@ TEST(CcEngine, OutputsMatchPinnedDigests) {
     const std::span<const vertex_id> arb_labels =
         engine.run(c.g, arb_opt, &arb_stats);
     EXPECT_EQ(digest(arb_labels, arb_stats), c.arb_1t) << c.name;
+  }
+}
+
+
+// The engine keeps level 0's shift schedule across runs, keyed by (n,
+// seed, beta, shift mode). One engine runs a sequence that changes every
+// part of the key, and also the variant, the mode (labels or forest) and
+// the graph at the same n; each answer must equal a fresh engine's. At one
+// worker the labels runs are compared with their per-level shape (the
+// digest OutputsMatchPinnedDigests pins); the forest runs are compared at
+// one and four workers. A holder whose key missed a part would replay a
+// stale order, and the step that changes only that part would differ.
+TEST(CcEngine, LevelZeroScheduleReuseMatchesFreshEngine) {
+  const graph::graph a = graph::random_graph(6000, 4, 1);
+  const graph::graph a2 = graph::line_graph(6000, true, 2);  // same n
+  const graph::graph b = graph::rmat_graph(4096, 20000, 3);
+  struct step {
+    const graph::graph* g;
+    uint64_t seed;
+    double beta;
+    ldd::shift_mode shifts;
+    decomp_variant variant;
+    bool forest;
+  };
+  constexpr auto kExp = ldd::shift_mode::kExponentialShifts;
+  constexpr auto kChunk = ldd::shift_mode::kPermutationChunks;
+  constexpr auto kHyb = decomp_variant::kArbHybrid;
+  const step steps[] = {
+      {&a, 5, 0.2, kExp, kHyb, false},
+      {&a, 5, 0.2, kExp, kHyb, false},  // a pure reuse
+      {&a, 6, 0.2, kExp, kHyb, false},  // same n, new seed
+      {&a, 6, 0.2, kExp, decomp_variant::kMin, false},
+      {&a, 6, 0.2, kExp, decomp_variant::kArb, false},
+      {&a, 6, 0.2, kExp, kHyb, true},    // labels -> forest
+      {&a2, 6, 0.2, kExp, kHyb, true},   // same n, new graph
+      {&a2, 6, 0.2, kExp, kHyb, false},  // forest -> labels
+      {&a2, 6, 0.3, kExp, kHyb, false},  // new beta
+      {&a2, 6, 0.3, kChunk, kHyb, false},  // new shift mode
+      {&a2, 7, 0.3, kChunk, kHyb, true},   // new seed, chunk mode
+      {&b, 7, 0.3, kChunk, kHyb, true},    // new n
+      {&b, 7, 0.3, kChunk, decomp_variant::kMin, false},
+      {&a, 7, 0.3, kChunk, kHyb, false},   // back to the first n
+      {&a, 5, 0.2, kExp, kHyb, false},     // back to the first key
+  };
+  for (const int workers : {1, 4}) {
+    parallel::scoped_workers w(workers);
+    cc::cc_engine engine;
+    for (size_t i = 0; i < std::size(steps); ++i) {
+      const step& st = steps[i];
+      cc_options opt;
+      opt.algorithm = "decomp";
+      opt.seed = st.seed;
+      opt.beta = st.beta;
+      opt.shifts = st.shifts;
+      opt.variant = st.variant;
+      const std::string what = "T=" + std::to_string(workers) + " step " +
+                               std::to_string(i);
+      cc::cc_engine fresh;
+      if (st.forest) {
+        const uint64_t got = digest(engine.run_forest(*st.g, opt));
+        EXPECT_EQ(got, digest(fresh.run_forest(*st.g, opt))) << what;
+      } else if (workers == 1) {
+        cc_stats got_stats, want_stats;
+        const uint64_t got =
+            digest(engine.run(*st.g, opt, &got_stats), got_stats);
+        EXPECT_EQ(got, digest(fresh.run(*st.g, opt, &want_stats), want_stats))
+            << what;
+        EXPECT_FALSE(want_stats.schedule_reused) << what;
+        // Reused exactly when the previous step had the same key.
+        const bool same_key = i > 0 && steps[i - 1].g->num_vertices() ==
+                                           st.g->num_vertices() &&
+                              steps[i - 1].seed == st.seed &&
+                              steps[i - 1].beta == st.beta &&
+                              steps[i - 1].shifts == st.shifts;
+        EXPECT_EQ(got_stats.schedule_reused, same_key) << what;
+      } else {
+        // Labels at more than one worker ride on benign races; run them
+        // for the held state they leave, and check them for validity.
+        const std::span<const vertex_id> l = engine.run(*st.g, opt);
+        const std::vector<vertex_id> copy(l.begin(), l.end());
+        EXPECT_TRUE(baselines::is_valid_components_labeling(*st.g, copy))
+            << what;
+      }
+    }
   }
 }
 

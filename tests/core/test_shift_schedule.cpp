@@ -143,5 +143,76 @@ TEST(ShiftSchedule, BucketFunctionMatchesFormulaAtEveryThreshold) {
   EXPECT_TRUE(partial_table);
 }
 
+// add_new_centers admits each round's batch in one pass. For every batch,
+// under both shift modes, its frontier (appended at the running frontier
+// size) and its center marks must equal a serial walk over the batch, at
+// one worker and at four. Some vertices are visited before their batch
+// comes up, as BFS claims would leave them, so the pass has to filter; the
+// largest batches span several emission blocks.
+TEST(ShiftSchedule, AddNewCentersMatchesSerialAdmission) {
+  constexpr size_t n = size_t{1} << 17;
+  constexpr vertex_id kUnmarked = kNoVertex;
+  for (const int workers : {1, 4}) {
+    parallel::scoped_workers w(workers);
+    for (const auto shifts : {ldd::shift_mode::kExponentialShifts,
+                              ldd::shift_mode::kPermutationChunks}) {
+      ldd::options opt;
+      opt.seed = 5;
+      opt.shifts = shifts;
+      parallel::workspace ws;
+      const shift_schedule sched(n, opt, ws);
+      const std::string what =
+          "T=" + std::to_string(workers) + " mode=" +
+          std::to_string(static_cast<int>(shifts));
+      // mark[v] = the round v became a center, or claim_round[v] when a
+      // BFS claimed it first (kUnmarked: never).
+      const parallel::rng claims(opt.seed + 1);
+      std::vector<vertex_id> claim_round(n, kUnmarked);
+      for (size_t v = 0; v < n; ++v) {
+        if (claims[v] % 3 == 0) {
+          claim_round[v] = static_cast<vertex_id>(claims[v] % 40);
+        }
+      }
+      std::vector<vertex_id> mark(n, kUnmarked), want_mark(n, kUnmarked);
+      std::vector<vertex_id> frontier(n), want(n);
+      size_t size = 0;
+      size_t max_batch = 0;
+      // Every vertex is marked within a few hundred rounds at beta = 0.2.
+      for (size_t round = 0;; ++round) {
+        ASSERT_LT(round, 1000u) << what;
+        for (size_t v = 0; v < n; ++v) {
+          if (claim_round[v] == round && mark[v] == kUnmarked) {
+            mark[v] = want_mark[v] = claim_round[v];
+          }
+        }
+        const auto [begin, end] = sched.batch(round);
+        max_batch = std::max(max_batch, end - begin);
+        size_t want_size = size;
+        for (size_t i = begin; i < end; ++i) {
+          const vertex_id v = sched.vertex_at(i);
+          if (want_mark[v] == kUnmarked) {
+            want_mark[v] = static_cast<vertex_id>(round);
+            want[want_size++] = v;
+          }
+        }
+        const size_t added = ldd::internal::add_new_centers(
+            sched, round, std::span<vertex_id>(frontier), size, ws,
+            [&](vertex_id v) { return mark[v] == kUnmarked; },
+            [&](vertex_id v) { mark[v] = static_cast<vertex_id>(round); });
+        ASSERT_EQ(size + added, want_size) << what << " round " << round;
+        ASSERT_TRUE(std::equal(frontier.begin() + static_cast<long>(size),
+                               frontier.begin() + static_cast<long>(want_size),
+                               want.begin() + static_cast<long>(size)))
+            << what << " round " << round;
+        ASSERT_EQ(mark, want_mark) << what << " round " << round;
+        size = want_size;
+        // Stop once every vertex is marked (claimed or a center).
+        if (std::count(mark.begin(), mark.end(), kUnmarked) == 0) break;
+      }
+      EXPECT_GT(max_batch, parallel::kDefaultGrain) << what;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pcc

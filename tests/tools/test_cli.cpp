@@ -159,6 +159,26 @@ TEST_F(CliTest, StatsPrintKeptEdgesAndWorkRatio) {
   EXPECT_NE(wline.find("1/(1-2beta)=1.250"), std::string::npos) << wline;
 }
 
+// The level-0 line says whether the engine reused its held shift schedule:
+// --stats reports the last repetition, which with --repeat 2 follows a run
+// with the same n and options, and with --repeat 1 is the engine's first.
+TEST_F(CliTest, StatsPrintScheduleReuse) {
+  ASSERT_EQ(run(tool("pcc_gen") + " --type line --n 5000 " + path("g.adj")), 0);
+  const auto level0 = [&](int repeat) {
+    const std::string out = output_of(
+        tool("pcc_components") + " " + path("g.adj") +
+        " --algo decomp-arb-hybrid --stats --repeat " + std::to_string(repeat));
+    const size_t l0 = out.find("\n  0: n=5000 ");
+    EXPECT_NE(l0, std::string::npos) << out;
+    if (l0 == std::string::npos) return std::string();
+    return out.substr(l0 + 1, out.find('\n', l0 + 1) - l0 - 1);
+  };
+  const std::string warm = level0(2);
+  EXPECT_NE(warm.find(" schedule=reused"), std::string::npos) << warm;
+  const std::string cold = level0(1);
+  EXPECT_NE(cold.find(" schedule=built"), std::string::npos) << cold;
+}
+
 TEST_F(CliTest, ComponentsAllAlgorithmsAgreeViaVerify) {
   ASSERT_EQ(run(tool("pcc_gen") + " --type random --n 800 --degree 2 --seed 5 " +
                 path("g.adj")),

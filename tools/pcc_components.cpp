@@ -41,7 +41,8 @@ constexpr const char kUsage[] =
     "               the relabel cost is reported separately, amortized over\n"
     "               --repeat. Output labels are always original vertex ids.\n"
     "  --stats      print the I/O phases, the per-level sizes (kept and\n"
-    "               deduplicated edges, kept/m next to 2*beta), the work\n"
+    "               deduplicated edges, kept/m next to 2*beta; whether\n"
+    "               level 0 reused or built its shift schedule), the work\n"
     "               ratio sum(m_i)/m_0, and where the last run's time went:\n"
     "               a `phases:` line with each phase, their sum and that\n"
     "               run's wall time, in ms.\n"
@@ -201,9 +202,15 @@ int run(int argc, char** argv) {
                    : 0.0;
       std::printf(
           "  %zu: n=%zu m=%zu clusters=%zu rounds=%zu kept=%zu deduped=%zu "
-          "kept/m=%.3f 2beta=%.3f\n",
+          "kept/m=%.3f 2beta=%.3f",
           i, ls.n, ls.m, ls.num_clusters, ls.bfs_rounds, ls.edges_kept,
           ls.edges_after_dedup, kept_frac, 2 * beta);
+      // Whether level 0 reused the engine's shift schedule from an earlier
+      // repetition (its init phase then reads about 0) or built it.
+      if (i == 0) {
+        std::printf(" schedule=%s", stats.schedule_reused ? "reused" : "built");
+      }
+      std::printf("\n");
     }
     const size_t m0 = stats.levels[0].m;
     if (m0 > 0) {

@@ -3,8 +3,9 @@
 // registry (including the Liu–Tarjan variant and "auto") plus the
 // spanning forest, and cross-checks all of them against the sequential BFS
 // oracle; the spanning forest and its labels must also match a one-worker
-// rerun exactly. Exits non-zero (and prints a reproducer) on the first
-// mismatch.
+// rerun exactly, and a warm engine's reruns with a second seed and a second
+// beta must match fresh forests. Exits non-zero (and prints a reproducer)
+// on the first mismatch.
 //
 //   pcc_fuzz --trials 200 --max-n 5000 --seed 1
 
@@ -167,6 +168,36 @@ int main(int argc, char** argv) try {
       }
     }
     ++checks;
+
+    // Held schedule: sf_engine keeps level 0's shift schedule from the run
+    // above, keyed by (n, seed, beta, shift mode). Rerun the forest at the
+    // same n with a second seed, then a second beta; each must rebuild the
+    // schedule and match a fresh one-shot forest. A stale key would replay
+    // the first run's schedule here.
+    {
+      cc::cc_options opt = options_for("spanning-forest", seed);
+      for (int change = 0; change < 2; ++change) {
+        if (change == 0) {
+          opt.seed = seed + 1;
+        } else {
+          opt.beta = opt.beta == 0.2 ? 0.35 : 0.2;
+        }
+        const cc::cc_engine::forest_result warm = sf_engine.run_forest(g, opt);
+        const std::vector<graph::edge> fresh = cc::spanning_forest(g, opt);
+        if (!std::equal(warm.forest.begin(), warm.forest.end(), fresh.begin(),
+                        fresh.end()) ||
+            !baselines::labels_equivalent(
+                oracle, std::vector<vertex_id>(warm.labels.begin(),
+                                               warm.labels.end()))) {
+          std::printf("WARM FOREST DIFFERS FROM FRESH on %s n=%zu seed=%llu "
+                      "(second %s)\n",
+                      kind_name(kind), n, static_cast<unsigned long long>(seed),
+                      change == 0 ? "seed" : "beta");
+          return 1;
+        }
+        ++checks;
+      }
+    }
 
     if ((t + 1) % 10 == 0) {
       std::printf("  %d/%d trials, %zu checks OK\n", t + 1, trials, checks);
